@@ -21,17 +21,14 @@ from pathlib import Path
 from .engine import ConfigError, GameConfig, run_game
 from .experiments import (
     backlog_frequency_experiment,
+    crossing_probability_experiment,
     fit_log_slope,
     run_lower_bound,
     run_sweep,
     write_sweep_csv,
 )
-from .invariants import (
-    PreconditionError,
-    crossing_probability_experiment,
-    run_checkers,
-)
-from .rational import format_rat, parse_rat, to_decimal
+from .invariants import PreconditionError, run_checkers
+from .rational import exact_and_decimal, format_rat, parse_rat, to_decimal
 from .svg import backlog_svg
 from .traceio import config_dict, load_config_file, read_trace, write_trace
 
@@ -54,10 +51,6 @@ def _seed_list(text: str) -> list[int]:
             raise ValueError(f"empty seed range: {text!r}")
         return seeds
     return _int_list(text)
-
-
-def _exact_and_decimal(value) -> dict:
-    return {"exact": format_rat(value), "decimal": to_decimal(value)}
 
 
 def _write_json(path: Path, payload: dict):
@@ -218,7 +211,7 @@ def cmd_montecarlo(args) -> int:
             "experiment": args.experiment,
             "y": format_rat(y),
             "seeds": args.seeds,
-            "frequency": _exact_and_decimal(frequency),
+            "frequency": exact_and_decimal(frequency),
             "four_sigma": sigma4,
             "within_four_sigma": abs(float(frequency - y)) <= sigma4,
         }
@@ -253,8 +246,8 @@ def cmd_montecarlo(args) -> int:
             "seeds": args.seeds,
             "threshold": shown,
             "hits": stats["hits"],
-            "frequency": _exact_and_decimal(stats["frequency"]),
-            "best_backlog": _exact_and_decimal(stats["best_backlog"]),
+            "frequency": exact_and_decimal(stats["frequency"]),
+            "best_backlog": exact_and_decimal(stats["best_backlog"]),
         }
         print(
             f"{args.experiment}: backlog >= {shown} in {stats['hits']}/{args.seeds} "

@@ -21,8 +21,6 @@ from .state import CupState
 
 
 class GreedyEmptier:
-    spec = "greedy"
-
     def initial_fills(self, config, rng):
         return None
 
@@ -31,8 +29,6 @@ class GreedyEmptier:
 
 
 class SmoothedGreedyEmptier:
-    spec = "smoothed-greedy"
-
     def initial_fills(self, config, rng):
         """Random offsets r_j, exact dyadics k/2^64, deposited as S_0."""
         return [dyadic_unit(rng) for _ in range(config.n)]
@@ -58,7 +54,6 @@ class ThresholdBlindEmptier:
             raise ConfigError(f"threshold-blind needs C >= 1, got {c}")
         self.ell = ell
         self.c = c
-        self.spec = f"threshold-blind:{ell},{c}"
 
     def initial_fills(self, config, rng):
         return None

@@ -122,12 +122,6 @@ class StepRecord:
     post: CupState
     removed: tuple  # (cup, amount) pairs, sorted, only amounts > 0
 
-    def removed_from(self, cup: int):
-        for other, amount in self.removed:
-            if other == cup:
-                return amount
-        return ZERO
-
     def drained_cups(self) -> tuple[int, ...]:
         return tuple(cup for cup, _ in self.removed)
 
@@ -171,9 +165,6 @@ class Trace:
     def empirical_M(self):
         """Largest av_p seen anywhere in the trace."""
         return max(self.av_series())
-
-    def deposit_into(self, t: int, cup: int):
-        return self.records[t - 1].fill.amount_into(cup)
 
 
 def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[str]:

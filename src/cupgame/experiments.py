@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .engine import GameConfig, run_game
-from .rational import format_rat, rat, to_decimal
+from .engine import FillMove, GameConfig, run_game
+from .rational import as_rat, exact_and_decimal, floor_rat, format_rat, rat, to_decimal
 from .state import harmonic_number
 
 
@@ -101,17 +101,11 @@ class LowerBoundResult:
             "n": self.n,
             "p": self.p,
             "emptier": self.emptier,
-            "threshold": {
-                "exact": format_rat(self.threshold),
-                "decimal": to_decimal(self.threshold),
-            },
+            "threshold": exact_and_decimal(self.threshold),
             "reached": self.reached,
             "steps_to_threshold": self.steps_to_threshold,
             "budget": self.budget,
-            "max_backlog": {
-                "exact": format_rat(self.max_backlog),
-                "decimal": to_decimal(self.max_backlog),
-            },
+            "max_backlog": exact_and_decimal(self.max_backlog),
         }
 
 
@@ -174,3 +168,56 @@ def backlog_frequency_experiment(base_config: GameConfig, seeds: int,
         "threshold": threshold,
         "best_backlog": best,
     }
+
+
+# ---------------------------------------------------------------------------
+# offset Monte Carlo
+
+
+class _ScriptedCup:
+    """Oblivious filler: a fixed deposit sequence into one cup, then nothing."""
+
+    needs_adaptive = False
+
+    def __init__(self, amounts, cup: int):
+        self.amounts = [as_rat(amount) for amount in amounts]
+        self.cup = cup
+
+    def next_move(self, t, view):
+        if t <= len(self.amounts):
+            return FillMove({self.cup: self.amounts[t - 1]})
+        return FillMove({})
+
+
+def crossing_probability_experiment(deposits, seeds: int, *, n: int = 1,
+                                    cup: int = 1, base_seed: int = 0):
+    """Fraction of offset draws in which the last scripted deposit crosses.
+
+    Replays the deposit script into one cup against the smoothed greedy
+    emptier under `seeds` independent offset draws and reports how often the
+    final deposit pushes the cup's fill past an integer.  Removals ahead of
+    the final deposit are whole units, so the fill's fractional part stays
+    uniform and the exact crossing probability equals the deposit's
+    fractional size.
+    """
+    if seeds < 100:
+        raise ValueError(f"need at least 100 seeds for a usable estimate, got {seeds}")
+    deposits = [as_rat(amount) for amount in deposits]
+    if not deposits:
+        raise ValueError("deposit script must contain at least one step")
+    for amount in deposits:
+        if not 0 <= amount <= 1:
+            raise ValueError(f"scripted deposits must lie in [0, 1], got {amount}")
+    hits = 0
+    for seed in range(base_seed, base_seed + seeds):
+        config = GameConfig(
+            n=n, p=1, steps=len(deposits), seed=seed, emptier="smoothed-greedy"
+        )
+        trace = run_game(config, filler=_ScriptedCup(deposits, cup))
+        last = trace.records[-1]
+        before = (
+            trace.records[-2].post if len(trace.records) > 1 else trace.initial
+        ).fill_of(cup)
+        if floor_rat(last.intermediate.fill_of(cup)) > floor_rat(before):
+            hits += 1
+    return rat(hits, seeds)

@@ -1,26 +1,32 @@
 """Filler strategies.
 
-Adaptive fillers (they watch the emptier):
+Two kernels carry the paper's lower-bound constructions:
 
-harmonic   repeatedly deposits 1/|U| into every cup of a shrinking target set
-           U; a cup leaves U when the emptier removes water from it.  When
-           |U| < 2 the pass is complete and U resets to all cups.  Against a
-           one-cup-per-step emptier the surviving cup accumulates
-           1/2 + 1/3 + ... + 1/|U0|.
-growth     keeps p-1 anchor cups topped up with 1 unit each and runs the
-           harmonic pass over the remaining cups with the leftover unit.  If
-           the emptier ever removes water from two or more non-anchor cups in
-           one step (it neglected the anchors), the pass restarts.
+ShrinkingPassFiller (adaptive: it watches the emptier)
+    Tops up A anchor cups with 1 unit each and spreads the leftover budget
+    as 1/|U| over a target set U of the other cups; a cup leaves U when the
+    emptier removes water from it, and when |U| < 2 the pass is complete and
+    U resets.  Against a one-cup-per-step emptier the surviving cup
+    accumulates 1/2 + 1/3 + ... + 1/|U0|.  With anchors, a step that drains
+    two or more targets (the emptier neglected the anchors) restarts the pass.
 
-Oblivious fillers (they never see the emptier or any cup state):
+    harmonic      A = 0: the pass runs over all n cups.
+    growth        A = p-1; at p = 1 it plays exactly as harmonic.
 
-anchor-swap   phases of rounds; each round deposits 1 unit per anchor and
-              spreads 1 unit over a working set B that loses one random
-              member per step (future deposits only; fills persist).  One
-              random round per phase replaces a random anchor with the
-              round's surviving B cup.
-anti-greedy   fixed-length phases over a fresh working set B = {p, ...};
-              same spread-and-shrink pattern, no anchor churn.
+SpreadShrinkFiller (oblivious: it never sees the emptier or any cup state)
+    Phases of rounds; each round deposits 1 unit per anchor (cups 1..p-1 at
+    the start) and spreads 1 unit over a working set B of the smallest-
+    numbered non-anchor cups that loses one random member per step (future
+    deposits only; fills persist).
+
+    anchor-swap   P phases of R rounds of L steps, |B| = L+1; one random
+                  round per phase replaces a random anchor with the round's
+                  surviving B cup.
+    anti-greedy   PHASES phases of one round each over |B| = floor(C*ELL)
+                  cups, B = {p, ...}; no anchor churn.
+
+Test and fuzz fillers:
+
 random        legal fuzz moves: random support, random small-denominator
               amounts, clamped to the budget (and to the truncation cap when
               one is configured, which needs adaptive visibility).
@@ -35,12 +41,11 @@ from __future__ import annotations
 import math
 
 from .engine import ConfigError, FillMove, GameConfig
-from .rational import ZERO, as_rat, floor_rat, parse_rat, rat
+from .rational import ONE, as_rat, floor_rat, parse_rat, rat
 
 
 class ZeroFiller:
     needs_adaptive = False
-    spec = "zero"
 
     def next_move(self, t, view) -> FillMove:
         return FillMove({})
@@ -62,8 +67,6 @@ def _uniform_below(getrandbits, n: int) -> int:
 
 class RandomFiller:
     """Seeded fuzzer emitting arbitrary legal moves."""
-
-    spec_name = "random"
 
     def __init__(self, config: GameConfig, rng, density=rat(1, 2)):
         density = as_rat(density)
@@ -99,146 +102,116 @@ class RandomFiller:
         return FillMove(amounts)
 
 
-class HarmonicFiller:
-    """Shrinking-target harmonic pass over all n cups, restarting forever."""
+class ShrinkingPassFiller:
+    """Anchors topped up to 1 unit, the rest spread over a shrinking pass.
+
+    The pass deposits 1/|U| into every cup of U, which starts as all
+    non-anchor cups; a cup leaves U once the emptier removes water from it,
+    and U resets when fewer than 2 cups remain.  With anchors, a step that
+    drains two or more targets (the emptier kept away from the anchors) is a
+    growth step and restarts the pass.
+    """
 
     needs_adaptive = True
-    spec = "harmonic"
 
-    def __init__(self, config: GameConfig):
-        if config.n < 2:
-            raise ConfigError("harmonic filler needs n >= 2")
-        self.config = config
-        self.unemptied: list[int] = list(range(1, config.n + 1))
+    def __init__(self, config: GameConfig, anchors: int):
+        self.anchors = tuple(range(1, anchors + 1))
+        self.targets = tuple(range(anchors + 1, config.n + 1))
+        self.unemptied: list[int] = list(self.targets)
+        self.growth_steps: list[int] = []
         self.passes = 0  # completed passes, for telemetry
 
     def next_move(self, t, view) -> FillMove:
         if view.records:
-            drained = set(view.records[-1].drained_cups())
-            if drained:
-                self.unemptied = [c for c in self.unemptied if c not in drained]
-        if len(self.unemptied) < 2:
-            self.unemptied = list(range(1, self.config.n + 1))
-            self.passes += 1
-        share = rat(1, len(self.unemptied))
-        return FillMove({cup: share for cup in self.unemptied})
-
-
-class GrowthFiller:
-    """Anchors plus harmonic pass; restarts the pass on growth steps."""
-
-    needs_adaptive = True
-    spec = "growth"
-
-    def __init__(self, config: GameConfig):
-        if config.n < config.p + 1:
-            raise ConfigError("growth filler needs n >= p + 1")
-        self.config = config
-        self.anchors = tuple(range(1, config.p))
-        self.targets = tuple(range(config.p, config.n + 1))
-        self.unemptied: list[int] = list(self.targets)
-        self.growth_steps: list[int] = []
-        self.passes = 0
-
-    def next_move(self, t, view) -> FillMove:
-        if view.records:
             record = view.records[-1]
-            drained_targets = {
-                cup for cup in record.drained_cups() if cup >= self.config.p
-            }
-            if len(drained_targets) >= 2:
-                # growth step: the anchors kept their water; restart the pass
+            first = self.targets[0]
+            drained = {cup for cup in record.drained_cups() if cup >= first}
+            if len(drained) >= 2 and self.anchors:
                 self.growth_steps.append(record.t)
                 self.unemptied = list(self.targets)
                 self.passes += 1
-            elif drained_targets:
-                self.unemptied = [
-                    c for c in self.unemptied if c not in drained_targets
-                ]
+            elif drained:
+                self.unemptied = [c for c in self.unemptied if c not in drained]
         if len(self.unemptied) < 2:
             self.unemptied = list(self.targets)
             self.passes += 1
         share = rat(1, len(self.unemptied))
-        amounts = {cup: rat(1) for cup in self.anchors}
+        amounts = {cup: ONE for cup in self.anchors}
         for cup in self.unemptied:
             amounts[cup] = share
         return FillMove(amounts)
 
 
-class AnchorSwapFiller:
-    """Phase/round/step machine with one anchor swap per phase.
+class SpreadShrinkFiller:
+    """Oblivious phases of rounds, each round a spread-and-shrink pass.
 
-    Rounds last B-1 steps over a working set B of b smallest-numbered
-    non-anchor cups; each step spreads 1 unit over the current B and then
-    deletes one uniformly random member (deposit targeting only).  The last
-    member standing is the round's survivor.  Exactly one uniformly chosen
-    round per phase swaps a uniformly chosen anchor for the survivor.
+    A round lasts round_steps steps over a working set of the round_steps + 1
+    smallest-numbered non-anchor cups; each step deposits 1 unit per anchor,
+    spreads 1 unit over the working set and then deletes one uniformly random
+    member from it (future deposits only; fills persist).  The last member
+    standing is the round's survivor.  With swaps, one uniformly chosen round
+    per phase swaps a uniformly chosen anchor for its survivor; without, no
+    swap round is drawn and a phase is one round, logged as phase events.
     """
 
     needs_adaptive = False
 
-    def __init__(self, config: GameConfig, rng, phases=None, rounds=None, steps=None):
-        p = config.p
-        if steps is None:
-            steps = max(2, math.ceil(math.log2(p)) - 1) if p > 1 else 2
-        if phases is None:
-            phases = p
-        if rounds is None:
-            rounds = p**3
-        if phases < 1 or rounds < 1 or steps < 1:
-            raise ConfigError("anchor-swap needs phases, rounds, steps >= 1")
-        working_size = steps + 1
-        if config.n < (p - 1) + working_size:
-            raise ConfigError(
-                f"anchor-swap needs n >= {p - 1 + working_size} "
-                f"(p-1 anchors plus a working set of {working_size})"
-            )
+    def __init__(self, config: GameConfig, rng, phases: int, rounds: int,
+                 round_steps: int, swaps: bool):
         self.config = config
         self.rng = rng
         self.phases = phases
         self.rounds = rounds
-        self.round_steps = steps
-        self.natural_steps = phases * rounds * steps
-        self.anchors: list[int] = list(range(1, p))
+        self.round_steps = round_steps
+        self.phase_steps = rounds * round_steps
+        self.natural_steps = phases * self.phase_steps
+        self.swaps = swaps
+        self.anchors: list[int] = list(range(1, config.p))
         self.events: list[dict] = []
         self._phase = -1
-        self._round = 0
-        self._step = steps  # forces a fresh phase and round on first use
+        self._round = rounds - 1
+        self._step = round_steps  # forces a fresh phase and round on first use
         self._working: list[int] = []
-        self._swap_round = 0
-
-    def _begin_phase(self):
-        self._phase += 1
-        self._round = -1
-        self._swap_round = self.rng.randrange(self.rounds)
-        self.events.append(
-            {
-                "type": "phase_start",
-                "phase": self._phase,
-                "new_anchor_round": self._swap_round,
-                "anchors": tuple(self.anchors),
-            }
-        )
+        self._swap_round = None
 
     def _begin_round(self):
+        if self._round + 1 >= self.rounds:
+            self._phase += 1
+            self._round = -1
+            if self.swaps:
+                self._swap_round = self.rng.randrange(self.rounds)
+                self.events.append(
+                    {
+                        "type": "phase_start",
+                        "phase": self._phase,
+                        "new_anchor_round": self._swap_round,
+                        "anchors": tuple(self.anchors),
+                    }
+                )
         self._round += 1
         self._step = 0
-        size = self.round_steps + 1
         anchors = set(self.anchors)
         self._working = [
             cup for cup in range(1, self.config.n + 1) if cup not in anchors
-        ][:size]
-        self.events.append(
-            {
-                "type": "round_start",
-                "phase": self._phase,
-                "round": self._round,
-                "working": tuple(self._working),
-            }
-        )
+        ][: self.round_steps + 1]
+        working = tuple(self._working)
+        if self.swaps:
+            self.events.append(
+                {"type": "round_start", "phase": self._phase, "round": self._round,
+                 "working": working}
+            )
+        else:
+            self.events.append(
+                {"type": "phase_start", "phase": self._phase, "working": working}
+            )
 
     def _end_round(self):
         survivor = self._working[0]
+        if not self.swaps:
+            self.events.append(
+                {"type": "phase_end", "phase": self._phase, "survivor": survivor}
+            )
+            return
         swapping = self._round == self._swap_round
         if swapping and self.anchors:
             out = self.anchors[self.rng.randrange(len(self.anchors))]
@@ -267,11 +240,9 @@ class AnchorSwapFiller:
 
     def next_move(self, t, view) -> FillMove:
         if self._step >= self.round_steps:  # previous round complete, or first call
-            if self._phase < 0 or self._round + 1 >= self.rounds:
-                self._begin_phase()
             self._begin_round()
         share = rat(1, len(self._working))
-        amounts = {cup: rat(1) for cup in self.anchors}
+        amounts = {cup: ONE for cup in self.anchors}
         for cup in self._working:
             amounts[cup] = share
         victim = self._working[self.rng.randrange(len(self._working))]
@@ -282,77 +253,46 @@ class AnchorSwapFiller:
         return FillMove(amounts)
 
 
-class AntiGreedyFiller:
-    """Fixed phases of spread-and-shrink deposits over B = {p..p+b-1}."""
-
-    needs_adaptive = False
-
-    def __init__(self, config: GameConfig, rng, ell=8, c=rat(1, 2), phases=128):
-        ell = int(ell)
-        c = as_rat(c)
-        if ell < 1 or c <= 0:
-            raise ConfigError("anti-greedy needs ELL >= 1 and C > 0")
-        working_size = floor_rat(c * ell)
-        if working_size < 2:
-            raise ConfigError(
-                f"anti-greedy working set C*ELL must be >= 2, got {working_size}"
-            )
-        if ell > config.n - config.p:
-            raise ConfigError(f"anti-greedy needs ELL <= n - p = {config.n - config.p}")
-        if config.p + working_size - 1 > config.n:
-            raise ConfigError(
-                f"anti-greedy needs n >= {config.p + working_size - 1}"
-            )
-        if phases < 1:
-            raise ConfigError("anti-greedy needs PHASES >= 1")
-        self.config = config
-        self.rng = rng
-        self.ell = ell
-        self.c = c
-        self.phases = phases
-        self.working_size = working_size
-        self.phase_steps = working_size - 1
-        self.natural_steps = phases * self.phase_steps
-        self.anchors = tuple(range(1, config.p))
-        self.events: list[dict] = []
-        self._phase = -1
-        self._step = self.phase_steps
-        self._working: list[int] = []
-
-    def next_move(self, t, view) -> FillMove:
-        if self._step >= self.phase_steps:
-            self._phase += 1
-            self._step = 0
-            self._working = list(
-                range(self.config.p, self.config.p + self.working_size)
-            )
-            self.events.append(
-                {
-                    "type": "phase_start",
-                    "phase": self._phase,
-                    "working": tuple(self._working),
-                }
-            )
-        share = rat(1, len(self._working))
-        amounts = {cup: rat(1) for cup in self.anchors}
-        for cup in self._working:
-            amounts[cup] = share
-        victim = self._working[self.rng.randrange(len(self._working))]
-        self._working.remove(victim)
-        self._step += 1
-        if self._step >= self.phase_steps:
-            self.events.append(
-                {
-                    "type": "phase_end",
-                    "phase": self._phase,
-                    "survivor": self._working[0],
-                }
-            )
-        return FillMove(amounts)
-
-
 def _parse_params(params: str):
     return [part.strip() for part in params.split(",")] if params else []
+
+
+def _anchor_swap(config: GameConfig, rng, phases=None, rounds=None, steps=None):
+    p = config.p
+    if steps is None:
+        steps = max(2, math.ceil(math.log2(p)) - 1) if p > 1 else 2
+    if phases is None:
+        phases = p
+    if rounds is None:
+        rounds = p**3
+    if phases < 1 or rounds < 1 or steps < 1:
+        raise ConfigError("anchor-swap needs phases, rounds, steps >= 1")
+    working_size = steps + 1
+    if config.n < (p - 1) + working_size:
+        raise ConfigError(
+            f"anchor-swap needs n >= {p - 1 + working_size} "
+            f"(p-1 anchors plus a working set of {working_size})"
+        )
+    return SpreadShrinkFiller(config, rng, phases, rounds, steps, swaps=True)
+
+
+def _anti_greedy(config: GameConfig, rng, ell=8, c=rat(1, 2), phases=128):
+    if ell < 1 or c <= 0:
+        raise ConfigError("anti-greedy needs ELL >= 1 and C > 0")
+    working_size = floor_rat(c * ell)
+    if working_size < 2:
+        raise ConfigError(
+            f"anti-greedy working set C*ELL must be >= 2, got {working_size}"
+        )
+    if ell > config.n - config.p:
+        raise ConfigError(f"anti-greedy needs ELL <= n - p = {config.n - config.p}")
+    if config.p + working_size - 1 > config.n:
+        raise ConfigError(f"anti-greedy needs n >= {config.p + working_size - 1}")
+    if phases < 1:
+        raise ConfigError("anti-greedy needs PHASES >= 1")
+    filler = SpreadShrinkFiller(config, rng, phases, 1, working_size - 1, swaps=False)
+    filler.ell, filler.c = ell, c  # the spec's parameters, for telemetry
+    return filler
 
 
 def make_filler(spec: str, config: GameConfig, rng):
@@ -360,9 +300,9 @@ def make_filler(spec: str, config: GameConfig, rng):
     name = name.strip()
     parts = _parse_params(params)
     try:
+        if name in ("zero", "harmonic", "growth") and parts:
+            raise ConfigError(f"{name} takes no parameters")
         if name == "zero":
-            if parts:
-                raise ConfigError("zero takes no parameters")
             return ZeroFiller()
         if name == "random":
             if len(parts) > 1:
@@ -370,29 +310,22 @@ def make_filler(spec: str, config: GameConfig, rng):
             density = parse_rat(parts[0]) if parts else rat(1, 2)
             return RandomFiller(config, rng, density)
         if name == "harmonic":
-            if parts:
-                raise ConfigError("harmonic takes no parameters")
-            return HarmonicFiller(config)
+            if config.n < 2:
+                raise ConfigError("harmonic filler needs n >= 2")
+            return ShrinkingPassFiller(config, anchors=0)
         if name == "growth":
-            if parts:
-                raise ConfigError("growth takes no parameters")
-            return GrowthFiller(config)
+            if config.n < config.p + 1:
+                raise ConfigError("growth filler needs n >= p + 1")
+            return ShrinkingPassFiller(config, anchors=config.p - 1)
         if name == "anchor-swap":
             if len(parts) > 3:
                 raise ConfigError("anchor-swap takes at most P,R,L")
-            numbers = [int(part) for part in parts]
-            return AnchorSwapFiller(config, rng, *numbers)
+            return _anchor_swap(config, rng, *[int(part) for part in parts])
         if name == "anti-greedy":
             if len(parts) > 3:
                 raise ConfigError("anti-greedy takes at most ELL,C,PHASES")
-            args = {}
-            if len(parts) >= 1:
-                args["ell"] = int(parts[0])
-            if len(parts) >= 2:
-                args["c"] = parse_rat(parts[1])
-            if len(parts) >= 3:
-                args["phases"] = int(parts[2])
-            return AntiGreedyFiller(config, rng, **args)
+            parse = (int, parse_rat, int)
+            return _anti_greedy(config, rng, *[f(part) for f, part in zip(parse, parts)])
     except ConfigError:
         raise
     except ValueError as err:

@@ -22,9 +22,9 @@ import math
 import weakref
 from dataclasses import dataclass
 
-from .engine import FillMove, GameConfig, Trace, run_game
-from .rational import ZERO, as_rat, floor_rat, format_rat, is_integral, rat
-from .state import harmonic_number, harmonic_tail
+from .engine import Trace
+from .rational import ONE, ZERO, as_rat, floor_rat, format_rat, is_integral, rat
+from .state import harmonic_number
 
 GREEDY = "greedy"
 SMOOTHED = "smoothed-greedy"
@@ -72,6 +72,20 @@ def _require(trace: Trace, emptiers: tuple[str, ...], check: str):
 # plain-greedy invariants
 
 
+def _tail_bounds(n: int, last: int) -> list:
+    """[None] then k * harmonic_tail(k, n) for k = 1..last, in O(n).
+
+    One backward pass accumulates the suffix sums 1 + sum_{j=k+1}^n 1/j.
+    """
+    bounds = [None] * (last + 1)
+    tail = ONE
+    for k in range(n, 0, -1):
+        if k <= last:
+            bounds[k] = k * tail
+        tail += rat(1, k)
+    return bounds
+
+
 def check_truncated_invariant(trace: Trace) -> InvariantReport:
     """Skewed averages of a truncated greedy game obey the harmonic tail.
 
@@ -85,7 +99,7 @@ def check_truncated_invariant(trace: Trace) -> InvariantReport:
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p, "truncation": truncation}
     charged = p * truncation
-    bounds = [None] + [k * harmonic_tail(k, n) for k in range(1, n - p + 1)]
+    bounds = _tail_bounds(n, n - p)
     for t, state in enumerate(trace.states()):
         state._rank_order()
         prefix = state._prefix
@@ -96,7 +110,7 @@ def check_truncated_invariant(trace: Trace) -> InvariantReport:
                     "truncated-tail",
                     False,
                     params,
-                    {"t": t, "k": k, "value": value, "bound": harmonic_tail(k, n)},
+                    {"t": t, "k": k, "value": value, "bound": bounds[k] / k},
                 )
     return InvariantReport("truncated-tail", True, params)
 
@@ -201,7 +215,7 @@ def check_av_invariant_single(trace: Trace) -> InvariantReport:
         raise PreconditionError("single-av needs an empty starting state")
     n = trace.config.n
     params = {"n": n}
-    bounds = [None] + [k * harmonic_tail(k, n) for k in range(1, n + 1)]
+    bounds = _tail_bounds(n, n)
     for t, state in enumerate(trace.states()):
         state._rank_order()
         prefix = state._prefix
@@ -215,7 +229,7 @@ def check_av_invariant_single(trace: Trace) -> InvariantReport:
                         "t": t,
                         "k": k,
                         "average": prefix[k] / k,
-                        "bound": harmonic_tail(k, n),
+                        "bound": bounds[k] / k,
                     },
                 )
     return InvariantReport("single-av", True, params)
@@ -504,64 +518,6 @@ def check_fractional_preservation(trace: Trace) -> InvariantReport:
                     {"t": t, "cup": cup, "residue": delta},
                 )
     return InvariantReport("fractional", True, params)
-
-
-def empirical_M(trace: Trace):
-    """Running max of av_p over the trace; a lower estimate of the true sup."""
-    return trace.empirical_M()
-
-
-# ---------------------------------------------------------------------------
-# offset Monte Carlo
-
-
-class _ScriptedCup:
-    """Oblivious filler: a fixed deposit sequence into one cup, then nothing."""
-
-    needs_adaptive = False
-
-    def __init__(self, amounts, cup: int):
-        self.amounts = [as_rat(amount) for amount in amounts]
-        self.cup = cup
-
-    def next_move(self, t, view):
-        if t <= len(self.amounts):
-            return FillMove({self.cup: self.amounts[t - 1]})
-        return FillMove({})
-
-
-def crossing_probability_experiment(deposits, seeds: int, *, n: int = 1,
-                                    cup: int = 1, base_seed: int = 0):
-    """Fraction of offset draws in which the last scripted deposit crosses.
-
-    Replays the deposit script into one cup against the smoothed greedy
-    emptier under `seeds` independent offset draws and reports how often the
-    final deposit pushes the cup's fill past an integer.  Removals ahead of
-    the final deposit are whole units, so the fill's fractional part stays
-    uniform and the exact crossing probability equals the deposit's
-    fractional size.
-    """
-    if seeds < 100:
-        raise ValueError(f"need at least 100 seeds for a usable estimate, got {seeds}")
-    deposits = [as_rat(amount) for amount in deposits]
-    if not deposits:
-        raise ValueError("deposit script must contain at least one step")
-    for amount in deposits:
-        if not 0 <= amount <= 1:
-            raise ValueError(f"scripted deposits must lie in [0, 1], got {amount}")
-    hits = 0
-    for seed in range(base_seed, base_seed + seeds):
-        config = GameConfig(
-            n=n, p=1, steps=len(deposits), seed=seed, emptier=SMOOTHED
-        )
-        trace = run_game(config, filler=_ScriptedCup(deposits, cup))
-        last = trace.records[-1]
-        before = (
-            trace.records[-2].post if len(trace.records) > 1 else trace.initial
-        ).fill_of(cup)
-        if floor_rat(last.intermediate.fill_of(cup)) > floor_rat(before):
-            hits += 1
-    return rat(hits, seeds)
 
 
 # ---------------------------------------------------------------------------

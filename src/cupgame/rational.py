@@ -61,11 +61,6 @@ def floor_rat(value) -> int:
     return int(value.numerator) // int(value.denominator)
 
 
-def frac_part(value):
-    value = as_rat(value)
-    return value - floor_rat(value)
-
-
 def format_rat(value) -> str:
     value = as_rat(value)
     return f"{int(value.numerator)}/{int(value.denominator)}"
@@ -100,3 +95,8 @@ def to_decimal(value, significant: int = 15) -> str:
             int(value.denominator)
         )
         return str(quotient)
+
+
+def exact_and_decimal(value) -> dict:
+    """The JSON form of an exact value: canonical text plus its decimal."""
+    return {"exact": format_rat(value), "decimal": to_decimal(value)}

@@ -2,8 +2,8 @@
 
 All strategy randomness in a run derives from the config seed.  Each consumer
 gets its own stream, split from the seed by a fixed label ("filler",
-"emptier", "offset"), so that e.g. swapping the emptier never perturbs the
-filler's draws.  Streams are stdlib random.Random instances seeded from
+"offset"), so that e.g. swapping the emptier never perturbs the filler's
+draws.  Streams are stdlib random.Random instances seeded from
 SHA-256(seed, label); replaying a seed replays every stream exactly.
 """
 
@@ -15,7 +15,6 @@ import random
 from .rational import rat
 
 FILLER_LABEL = "filler"
-EMPTIER_LABEL = "emptier"
 OFFSET_LABEL = "offset"
 
 _OFFSET_DENOMINATOR = 1 << 64

@@ -180,7 +180,4 @@ def harmonic_tail(k: int, n: int):
     """1 + sum_{j=k+1}^n 1/j: the tail bound the skewed averages obey."""
     if not 1 <= k <= n:
         raise ValueError(f"k {k} outside 1..{n}")
-    total = rat(1)
-    for j in range(k + 1, n + 1):
-        total += rat(1, j)
-    return total
+    return 1 + harmonic_number(n) - harmonic_number(k)

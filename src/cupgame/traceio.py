@@ -31,7 +31,7 @@ from .engine import (
     Violation,
 )
 from .invariants import record_setting_steps
-from .rational import format_rat, parse_rat, to_decimal
+from .rational import exact_and_decimal, format_rat, parse_rat, to_decimal
 
 TRACE_NAME = "trace.csv"
 SUMMARY_NAME = "summary.json"
@@ -70,10 +70,6 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
     return trace_path, summary_path
 
 
-def _exact_and_decimal(value) -> dict:
-    return {"exact": format_rat(value), "decimal": to_decimal(value)}
-
-
 def config_dict(config: GameConfig) -> dict:
     return {
         "n": config.n,
@@ -92,9 +88,9 @@ def summarize(trace: Trace) -> dict:
     summary = {
         "config": config_dict(trace.config),
         "steps_executed": trace.steps_executed,
-        "max_backlog": _exact_and_decimal(trace.max_backlog()),
-        "final_backlog": _exact_and_decimal(trace.backlog_series()[-1]),
-        "empirical_M": _exact_and_decimal(trace.empirical_M()),
+        "max_backlog": exact_and_decimal(trace.max_backlog()),
+        "final_backlog": exact_and_decimal(trace.backlog_series()[-1]),
+        "empirical_M": exact_and_decimal(trace.empirical_M()),
         "record_setting_steps": record_setting_steps(trace),
         "violation": None,
     }

@@ -16,12 +16,11 @@ from collections import Counter
 
 from cupgame.cli import main as cli_main
 from cupgame.engine import GameConfig, run_game
-from cupgame.experiments import backlog_frequency_experiment, run_lower_bound
+from cupgame.experiments import backlog_frequency_experiment, crossing_probability_experiment, run_lower_bound
 from cupgame.fillers import make_filler
 from cupgame.invariants import (
     CHECKERS,
     check_fractional_preservation,
-    crossing_probability_experiment,
     run_checkers,
 )
 from cupgame.rational import rat

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -15,17 +16,19 @@ from cupgame.engine import (
     validate_fill,
 )
 from cupgame.fillers import (
-    AnchorSwapFiller,
-    AntiGreedyFiller,
-    GrowthFiller,
-    HarmonicFiller,
     RandomFiller,
+    ShrinkingPassFiller,
+    SpreadShrinkFiller,
     ZeroFiller,
     make_filler,
 )
-from cupgame.rational import rat
+from cupgame.rational import format_rat, rat
 from cupgame.rng import FILLER_LABEL, stream
 from cupgame.state import CupState, harmonic_number
+
+
+def _filler(spec, config, seed=0):
+    return make_filler(spec, config, stream(seed, FILLER_LABEL))
 
 
 class _Idle:
@@ -69,8 +72,8 @@ class TestHarmonic:
         )
 
     def test_unemptied_only_shrinks_on_actual_removal(self):
-        filler = HarmonicFiller(GameConfig(n=4, p=1, steps=9, filler="harmonic"))
         config = GameConfig(n=4, p=1, steps=9, filler="harmonic")
+        filler = _filler("harmonic", config)
         trace = run_game(config, filler=filler, emptier=_Idle())
         for record in trace.records:
             assert record.fill.amounts == tuple(
@@ -79,7 +82,7 @@ class TestHarmonic:
 
     def test_needs_two_cups(self):
         with pytest.raises(ConfigError):
-            HarmonicFiller(GameConfig(n=1, p=1, steps=1))
+            _filler("harmonic", GameConfig(n=1, p=1, steps=1))
 
 
 class TestGrowth:
@@ -92,14 +95,14 @@ class TestGrowth:
 
     def test_growth_step_restarts_pass(self):
         config = GameConfig(n=5, p=2, steps=3, filler="growth")
-        filler = GrowthFiller(config)
+        filler = _filler("growth", config)
         run_game(config, filler=filler, emptier=_DrainSet([3, 4]))
         # both drained cups are targets: every step after the first restarts
         assert filler.growth_steps == [1, 2]
 
     def test_single_removal_shrinks_pass(self):
         config = GameConfig(n=4, p=2, steps=2, filler="growth")
-        filler = GrowthFiller(config)
+        filler = _filler("growth", config)
         trace = run_game(config, filler=filler, emptier=_DrainSet([3]))
         assert filler.growth_steps == []
         assert trace.records[1].fill.amounts == (
@@ -123,7 +126,7 @@ class TestGrowth:
 
     def test_needs_room_for_targets(self):
         with pytest.raises(ConfigError):
-            GrowthFiller(GameConfig(n=2, p=2, steps=1))
+            _filler("growth", GameConfig(n=2, p=2, steps=1))
 
 
 class TestAnchorSwap:
@@ -196,7 +199,7 @@ class TestAnchorSwap:
 
     def test_needs_room(self):
         with pytest.raises(ConfigError):
-            AnchorSwapFiller(GameConfig(n=4, p=4, steps=1), stream(0, FILLER_LABEL))
+            _filler("anchor-swap", GameConfig(n=4, p=4, steps=1))
 
 
 class TestAntiGreedy:
@@ -240,13 +243,12 @@ class TestAntiGreedy:
 
     def test_parameter_validation(self):
         config = GameConfig(n=10, p=2, steps=1)
-        rng = stream(0, FILLER_LABEL)
-        with pytest.raises(ConfigError):
-            AntiGreedyFiller(config, rng, ell=9)  # ell > n - p
-        with pytest.raises(ConfigError):
-            AntiGreedyFiller(config, rng, ell=2, c=rat(1, 2))  # working set < 2
-        with pytest.raises(ConfigError):
-            AntiGreedyFiller(config, rng, phases=0)
+        with pytest.raises(ConfigError, match="ELL <= n - p"):
+            _filler("anti-greedy:9", config)
+        with pytest.raises(ConfigError, match="working set"):
+            _filler("anti-greedy:2,1/2", config)
+        with pytest.raises(ConfigError, match="PHASES >= 1"):
+            _filler("anti-greedy:8,1/2,0", config)
 
 
 class TestRandomFiller:
@@ -283,12 +285,14 @@ class TestSpecStrings:
         config = GameConfig(n=10, p=2, steps=1)
         rng = stream(0, FILLER_LABEL)
         assert isinstance(make_filler("zero", config, rng), ZeroFiller)
-        assert isinstance(make_filler("harmonic", config, rng), HarmonicFiller)
-        assert isinstance(make_filler("growth", config, rng), GrowthFiller)
+        assert isinstance(make_filler("harmonic", config, rng), ShrinkingPassFiller)
+        assert isinstance(make_filler("growth", config, rng), ShrinkingPassFiller)
         assert isinstance(make_filler("random:1/4", config, rng), RandomFiller)
         anchor = make_filler("anchor-swap:2,3,2", config, rng)
+        assert isinstance(anchor, SpreadShrinkFiller)
         assert (anchor.phases, anchor.rounds, anchor.round_steps) == (2, 3, 2)
         anti = make_filler("anti-greedy:8,1/2,4", config, rng)
+        assert isinstance(anti, SpreadShrinkFiller)
         assert (anti.ell, anti.c, anti.phases) == (8, rat(1, 2), 4)
 
     def test_defaults_from_p(self):
@@ -308,3 +312,47 @@ class TestSpecStrings:
         config = GameConfig(n=10, p=2, steps=1)
         with pytest.raises(ConfigError):
             make_filler(spec, config, stream(0, FILLER_LABEL))
+
+
+# SHA-256 of every move, plus the filler's events, passes and growth_steps
+# (empty when the filler keeps none), over PARITY_GRID x PARITY_EMPTIERS.
+# Recorded from the one-class-per-construction fillers; any change to a
+# construction's moves, RNG draws or telemetry changes its digest.
+PARITY_DIGESTS = {
+    "harmonic": "e4cf5f884f4200dd49f755a5af6d011f0d2c4af6f50a572cb7671fdec4abf416",
+    "growth": "fe6b466637282f37c5a667a5d029d1f1e53b0fc584d50fcd44ae496029afdcdc",
+    "anchor-swap": "83bdf5776d95af458b91c6a1f2afb4e2d933058106a488aead4c8caa78a6a23d",
+    "anchor-swap:8,64,2": "73fb2446ab46a6075712e975ee4beb10211e5db8ae052d7883290d4da3068eef",
+    "anchor-swap:1,1,2": "4b1d66e89dbd7cf39b34a4417f82e1fd86c35e2860c8456a091e8cdf5a777338",
+    "anti-greedy": "e4b2918d38d1c2fc3092ebd13a071d5db1202fec326d56c51930e803f9fc7649",
+    "anti-greedy:16,3/4,128": "0ad8a1ac5b6f6466e82130360fe4e6e9a663e76b9f5dfbd5e03caa88799fbe0d",
+    "anti-greedy:8,1/2,4": "e4b2918d38d1c2fc3092ebd13a071d5db1202fec326d56c51930e803f9fc7649",
+}
+PARITY_GRID = ((17, 1, 0), (18, 2, 1), (20, 4, 2), (24, 3, 7))  # (n, p, seed)
+PARITY_EMPTIERS = ("greedy", "smoothed-greedy", "threshold-blind:2,2")
+
+
+@pytest.mark.parametrize("spec", sorted(PARITY_DIGESTS))
+def test_filler_spec_replays_frozen_digest(spec):
+    visibility = "adaptive" if spec in ("harmonic", "growth") else "oblivious"
+    digest = hashlib.sha256()
+    for n, p, seed in PARITY_GRID:
+        for emptier in PARITY_EMPTIERS:
+            config = GameConfig(
+                n=n, p=p, steps=60, seed=seed, filler=spec, emptier=emptier,
+                visibility=visibility,
+            )
+            filler = make_filler(spec, config, stream(seed, FILLER_LABEL))
+            trace = run_game(config, filler=filler)
+            assert trace.violation is None
+            moves = [
+                [(cup, format_rat(amount)) for cup, amount in record.fill.amounts]
+                for record in trace.records
+            ]
+            digest.update(repr((
+                moves,
+                getattr(filler, "events", []),
+                getattr(filler, "passes", 0),
+                getattr(filler, "growth_steps", []),
+            )).encode())
+    assert digest.hexdigest() == PARITY_DIGESTS[spec]

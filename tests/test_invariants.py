@@ -13,6 +13,7 @@ import pytest
 from cupgame.engine import GameConfig, run_game
 from cupgame.invariants import (
     CHECKERS,
+    _tail_bounds,
     InvariantReport,
     LevelStats,
     PreconditionError,
@@ -27,14 +28,13 @@ from cupgame.invariants import (
     check_truncated_invariant,
     check_working_set,
     count_crossings,
-    crossing_probability_experiment,
-    empirical_M,
     level_fill,
     level_series,
     max_level,
     record_setting_steps,
     run_checkers,
 )
+from cupgame.experiments import crossing_probability_experiment
 from cupgame.rational import rat
 from cupgame.state import harmonic_tail
 
@@ -153,6 +153,13 @@ def test_truncated_tail_flags_forged_overflow():
     # f^2_1 = (3 + 2) - 1*2 = 3 against tail bound 11/6
     assert report.witness["value"] == 3
     assert report.witness["bound"] == harmonic_tail(1, 3)
+
+
+def test_tail_bounds_match_harmonic_tail():
+    for n in range(1, 13):
+        for last in (0, n // 2, n):
+            bounds = _tail_bounds(n, last)
+            assert bounds == [None] + [k * harmonic_tail(k, n) for k in range(1, last + 1)]
 
 
 def test_truncated_tail_preconditions():
@@ -462,7 +469,7 @@ def test_integer_fill_dominates_next_level_activity():
 
 def test_empirical_m_matches_series_max():
     trace = smoothed_run(seed=47, steps=80)
-    assert empirical_M(trace) == max(trace.av_series())
+    assert trace.empirical_M() == max(trace.av_series())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cupgame.rng import EMPTIER_LABEL, FILLER_LABEL, OFFSET_LABEL, dyadic_unit, stream
+from cupgame.rng import FILLER_LABEL, OFFSET_LABEL, dyadic_unit, stream
 
 
 def test_same_seed_same_label_replays():
@@ -18,7 +18,7 @@ def test_same_seed_same_label_replays():
 def test_labels_are_independent():
     draws = {
         label: stream(42, label).getrandbits(64)
-        for label in (FILLER_LABEL, EMPTIER_LABEL, OFFSET_LABEL)
+        for label in (FILLER_LABEL, OFFSET_LABEL, "other")
     }
     assert len(set(draws.values())) == 3
 
