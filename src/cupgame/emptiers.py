@@ -61,9 +61,8 @@ class ThresholdBlindEmptier:
     def select(self, state: CupState, p: int) -> EmptyMove:
         if p >= state.n:
             return EmptyMove(range(1, state.n + 1))
-        ranked = [state.rank_cup(i) for i in range(1, state.n + 1)]
-        cups = [ranked[0]] + ranked[state.n - (p - 1):]
-        return EmptyMove(cups)
+        ranked = state.top_cups(state.n)
+        return EmptyMove(ranked[:1] + ranked[state.n - (p - 1):])
 
 
 def is_greedy_like_step(intermediate: CupState, removed, ell, c) -> bool:

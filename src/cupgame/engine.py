@@ -82,21 +82,6 @@ class FillMove:
         cleaned.sort()
         object.__setattr__(self, "amounts", tuple(cleaned))
 
-    def amount_into(self, cup: int):
-        for other, amount in self.amounts:
-            if other == cup:
-                return amount
-        return ZERO
-
-    def total(self):
-        total = ZERO
-        for _, amount in self.amounts:
-            total += amount
-        return total
-
-    def cups(self) -> tuple[int, ...]:
-        return tuple(cup for cup, _ in self.amounts)
-
 
 @dataclass(frozen=True)
 class EmptyMove:

@@ -86,6 +86,26 @@ def _tail_bounds(n: int, last: int) -> list:
     return bounds
 
 
+def _tail_scan(trace, name, params, skip, charged, value_key) -> InvariantReport:
+    """Charged top-(skip + k) mass against k * harmonic_tail(k, n), all k, t.
+
+    One walk down each state's ranking: the running mass of the skip + k
+    fullest cups, less the charge, must not exceed the k-th tail bound.
+    """
+    n = trace.config.n
+    bounds = _tail_bounds(n, n - skip)
+    for t, state in enumerate(trace.states()):
+        fills = state.fills
+        mass = ZERO
+        for k, cup in enumerate(state.top_cups(n), start=1 - skip):
+            mass += fills[cup - 1]
+            if k > 0 and mass - charged > bounds[k]:
+                value = (mass - charged) / k
+                witness = {"t": t, "k": k, value_key: value, "bound": bounds[k] / k}
+                return InvariantReport(name, False, params, witness)
+    return InvariantReport(name, True, params)
+
+
 def check_truncated_invariant(trace: Trace) -> InvariantReport:
     """Skewed averages of a truncated greedy game obey the harmonic tail.
 
@@ -98,21 +118,12 @@ def check_truncated_invariant(trace: Trace) -> InvariantReport:
         raise PreconditionError("truncated-tail needs a truncation cap")
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p, "truncation": truncation}
-    charged = p * truncation
-    bounds = _tail_bounds(n, n - p)
-    for t, state in enumerate(trace.states()):
-        state._rank_order()
-        prefix = state._prefix
-        for k in range(1, n - p + 1):
-            if prefix[p + k] - charged > bounds[k]:
-                value = (prefix[p + k] - charged) / k
-                return InvariantReport(
-                    "truncated-tail",
-                    False,
-                    params,
-                    {"t": t, "k": k, "value": value, "bound": bounds[k] / k},
-                )
-    return InvariantReport("truncated-tail", True, params)
+    return _tail_scan(trace, "truncated-tail", params, p, p * truncation, "value")
+
+
+def _top_fills(state, k: int) -> list:
+    """Fills of the k fullest cups, in rank order."""
+    return [state.fills[cup - 1] for cup in state.top_cups(k)]
 
 
 def check_cup_reset(trace: Trace) -> InvariantReport:
@@ -125,13 +136,13 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p}
     floor_rank = min(p + 1, n)
-    states = trace.states()
-    for t in range(1, len(states)):
-        prev, cur = states[t - 1], states[t]
-        low = cur.rank_fill(floor_rank)
+    ranked = [_top_fills(state, floor_rank) for state in trace.states()]
+    for t in range(1, len(ranked)):
+        prev, cur = ranked[t - 1], ranked[t]
+        low = cur[floor_rank - 1]
         for j in range(1, min(p, n) + 1):
-            fill = cur.rank_fill(j)
-            if fill > prev.rank_fill(j) and low < fill - 1:
+            fill = cur[j - 1]
+            if fill > prev[j - 1] and low < fill - 1:
                 return InvariantReport(
                     "cup-reset",
                     False,
@@ -140,7 +151,7 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
                         "t": t,
                         "rank": j,
                         "fill": fill,
-                        "previous_fill": prev.rank_fill(j),
+                        "previous_fill": prev[j - 1],
                         "rank_fill_p_plus_1": low,
                     },
                 )
@@ -174,12 +185,10 @@ def check_record_constraints(trace: Trace) -> InvariantReport:
     params = {"n": n, "p": p, "gap_bound": gap_bound}
     states = trace.states()
     for t in record_setting_steps(trace):
-        state = states[t]
-        state._rank_order()
-        prefix = state._prefix
+        top = _top_fills(states[t], p + 1)
         for i in range(1, p + 1):
-            mass = prefix[p + 1] - prefix[i]
-            need = (p + 1 - i) * (state.rank_fill(i) - 1)
+            mass = sum(top[i:])
+            need = (p + 1 - i) * (top[i - 1] - 1)
             if mass < need:
                 return InvariantReport(
                     "record-gap",
@@ -189,10 +198,10 @@ def check_record_constraints(trace: Trace) -> InvariantReport:
                         "t": t,
                         "i": i,
                         "tail_average": mass / (p + 1 - i),
-                        "rank_fill": state.rank_fill(i),
+                        "rank_fill": top[i - 1],
                     },
                 )
-        gap = state.rank_fill(1) - state.rank_fill(p + 1)
+        gap = top[0] - top[p]
         if gap > gap_bound:
             return InvariantReport(
                 "record-gap",
@@ -213,26 +222,8 @@ def check_av_invariant_single(trace: Trace) -> InvariantReport:
         raise PreconditionError("single-av needs p = 1")
     if any(fill != 0 for fill in trace.initial.fills):
         raise PreconditionError("single-av needs an empty starting state")
-    n = trace.config.n
-    params = {"n": n}
-    bounds = _tail_bounds(n, n)
-    for t, state in enumerate(trace.states()):
-        state._rank_order()
-        prefix = state._prefix
-        for k in range(1, n + 1):
-            if prefix[k] > bounds[k]:
-                return InvariantReport(
-                    "single-av",
-                    False,
-                    params,
-                    {
-                        "t": t,
-                        "k": k,
-                        "average": prefix[k] / k,
-                        "bound": bounds[k] / k,
-                    },
-                )
-    return InvariantReport("single-av", True, params)
+    params = {"n": trace.config.n}
+    return _tail_scan(trace, "single-av", params, 0, ZERO, "average")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +247,6 @@ class LevelStats:
     integer_fill: list[int]  # T(t), t = 0..T
     crossings: list[int]  # index t = 1..T (index 0 unused)
     crossing_cups: list[tuple[int, ...]]  # cups with a crossing at step t
-    max_active: int
 
 
 _level_cache: "weakref.WeakKeyDictionary[Trace, dict]" = weakref.WeakKeyDictionary()
@@ -310,7 +300,6 @@ def level_series(trace: Trace, level: int) -> LevelStats:
         integer_fill=integer_fill,
         crossings=crossings,
         crossing_cups=crossing_cups,
-        max_active=max(active),
     )
     cache[level] = stats
     return stats
@@ -320,25 +309,6 @@ def max_level(trace: Trace) -> int:
     """Highest level at which any state has positive level fill."""
     top = max(state.backlog() for state in trace.states())
     return max(1, floor_rat(top / 2) + 1)
-
-
-def count_crossings(trace: Trace, level: int, t0: int, t1: int):
-    """Level-i crossings over steps t0..t1: (total, cups that crossed)."""
-    if not 1 <= t0 <= t1 <= trace.steps_executed:
-        raise ValueError(
-            f"interval {t0}..{t1} outside 1..{trace.steps_executed}"
-        )
-    stats = level_series(trace, level)
-    cups = set()
-    for t in range(t0, t1 + 1):
-        cups.update(stats.crossing_cups[t])
-    return sum(stats.crossings[t0 : t1 + 1]), tuple(sorted(cups))
-
-
-def bolus(trace: Trace, level: int, t0: int, t1: int) -> int:
-    """Crossings in excess of the emptier's p-per-step removal rate."""
-    count, _ = count_crossings(trace, level, t0, t1)
-    return max(count - trace.config.p * (t1 - t0 + 1), 0)
 
 
 def _deposit_cumsums(trace: Trace):

@@ -4,6 +4,8 @@ A CupState is an immutable snapshot of n cups, indexed by cup id 1..n, each
 holding an exact rational fill >= 0.  Rank queries use the convention that
 rank 1 is fullest and ties break toward the smaller cup id, so every rank
 query has exactly one answer and identical states always rank identically.
+The tie rule comes from the ranking itself: one stable descending sort of
+the cup ids by fill keeps tied cups in id order.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from .rational import ZERO, as_rat, rat
 
 
 class CupState:
-    """Immutable fills for cups 1..n with cached order statistics."""
+    """Immutable fills for cups 1..n with a cached rank order."""
 
-    __slots__ = ("fills", "_ranked", "_prefix")
+    __slots__ = ("fills", "_ranked")
 
     def __init__(self, fills):
         fills = tuple(as_rat(f) for f in fills)
@@ -25,7 +27,6 @@ class CupState:
             raise ValueError("a game needs at least one cup")
         self.fills = fills
         self._ranked = None
-        self._prefix = None
 
     @classmethod
     def _wrap(cls, fills: tuple) -> "CupState":
@@ -34,7 +35,6 @@ class CupState:
         state = object.__new__(cls)
         state.fills = fills
         state._ranked = None
-        state._prefix = None
         return state
 
     @classmethod
@@ -42,16 +42,6 @@ class CupState:
         if n < 1:
             raise ValueError(f"cup count must be >= 1, got {n}")
         return cls([ZERO] * n)
-
-    @classmethod
-    def from_mapping(cls, n: int, amounts) -> "CupState":
-        """State with amounts[cup] in each listed cup and 0 elsewhere."""
-        fills = [ZERO] * n
-        for cup, amount in amounts.items():
-            if not 1 <= cup <= n:
-                raise ValueError(f"cup id {cup} outside 1..{n}")
-            fills[cup - 1] = as_rat(amount)
-        return cls(fills)
 
     @property
     def n(self) -> int:
@@ -63,17 +53,11 @@ class CupState:
         return self.fills[cup - 1]
 
     def _rank_order(self):
-        """Cup ids sorted by (fill desc, id asc), with fill prefix sums."""
+        """Cup ids, fullest first; the stable sort keeps ties in id order."""
         if self._ranked is None:
             fills = self.fills
-            ranked = sorted(range(1, self.n + 1), key=lambda j: (-fills[j - 1], j))
-            prefix = [ZERO]
-            total = ZERO
-            for cup in ranked:
-                total += fills[cup - 1]
-                prefix.append(total)
-            self._ranked = ranked
-            self._prefix = prefix
+            ranked = sorted(range(self.n), key=fills.__getitem__, reverse=True)
+            self._ranked = [index + 1 for index in ranked]
         return self._ranked
 
     def rank_cup(self, rank: int) -> int:
@@ -114,42 +98,11 @@ class CupState:
         """(total, average) fill of the i fullest cups."""
         if not 1 <= i <= self.n:
             raise ValueError(f"rank {i} outside 1..{self.n}")
-        self._rank_order()
-        total = self._prefix[i]
+        fills = self.fills
+        total = ZERO
+        for cup in self.top_cups(i):
+            total += fills[cup - 1]
         return total, total / i
-
-    def subset_stats(self, cups):
-        """(total, average) fill over an explicit nonempty set of cup ids."""
-        cups = set(cups)
-        if not cups:
-            raise ValueError("subset_stats needs a nonempty cup set")
-        total = ZERO
-        for cup in cups:
-            total += self.fill_of(cup)
-        return total, total / len(cups)
-
-    def skewed_average(self, k: int, truncation, p: int):
-        """max((tot_{p+k} - p*N) / k, 0): average mass above p cups at height N.
-
-        The N-skewed average of the k cups ranked p+1..p+k, charging the top
-        p cups a fill of N each.  Defined for 1 <= k <= n-p.
-        """
-        if p < 1:
-            raise ValueError(f"processor count must be >= 1, got {p}")
-        if not 1 <= k <= self.n - p:
-            raise ValueError(f"k {k} outside 1..{self.n - p}")
-        truncation = as_rat(truncation)
-        if truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {truncation}")
-        total, _ = self.prefix_stats(p + k)
-        skewed = (total - p * truncation) / k
-        return skewed if skewed > 0 else ZERO
-
-    def total(self):
-        total = ZERO
-        for fill in self.fills:
-            total += fill
-        return total
 
     def backlog(self):
         """Fill of the fullest cup."""

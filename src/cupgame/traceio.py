@@ -3,9 +3,10 @@
 trace.csv carries one row per state in play order: the t=0 starting state,
 then for each step the intermediate (post-fill) and post (post-empty)
 states.  Cup columns hold exact "num/den" text so a reader can rebuild the
-whole game: the fill move is intermediate minus previous post, the removals
-are intermediate minus post.  backlog and av_p are 15-significant-digit
-decimal conveniences for spreadsheets; they are never read back.
+whole game: the fill move is intermediate minus previous post, and the
+selected cups with the skip flag replay the removals.  backlog and av_p are
+15-significant-digit decimal conveniences for spreadsheets; they are never
+read back.
 
 summary.json records the config, run totals, and any abort, and is the
 authoritative source of the config when re-loading a trace directory.
@@ -29,6 +30,9 @@ from .engine import (
     StepRecord,
     Trace,
     Violation,
+    apply_empty,
+    validate_empty,
+    validate_fill,
 )
 from .invariants import record_setting_steps
 from .rational import exact_and_decimal, format_rat, parse_rat, to_decimal
@@ -118,14 +122,31 @@ def _config_from_dict(data: dict) -> GameConfig:
 
 
 def read_trace(directory) -> Trace:
-    """Rebuild a Trace from a directory written by write_trace."""
+    """Rebuild a Trace from a directory written by write_trace.
+
+    Every step is replayed, not trusted: the fill move (intermediate minus
+    previous post) and the selection must be legal for the config, and the
+    selection's removals must turn the intermediate row into the post row.
+    Any breach raises ValueError naming the step.
+    """
     directory = Path(directory)
-    summary = json.loads((directory / SUMMARY_NAME).read_text())
-    config = _config_from_dict(summary["config"])
+    summary_path = directory / SUMMARY_NAME
+    summary = json.loads(summary_path.read_text())
+    try:
+        config = _config_from_dict(summary["config"])
+        raw = summary["violation"]
+        violation = None if raw is None else Violation(
+            step=raw["step"], source=raw["source"], reasons=tuple(raw["reasons"])
+        )
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"{summary_path}: missing or malformed entry {err}") from None
     n = config.n
-    with (directory / TRACE_NAME).open(newline="") as handle:
+    trace_path = directory / TRACE_NAME
+    with trace_path.open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{trace_path} is empty")
         expected = 4 + n + 2
         if len(header) != expected or header[:4] != ["t", "stage", "selected", "skip"]:
             raise ValueError(f"unexpected trace header for n={n}: {header}")
@@ -147,21 +168,25 @@ def read_trace(directory) -> Trace:
         t = int(inter_row[0])
         if inter_row[1] != "inter" or post_row[1] != "post" or int(post_row[0]) != t:
             raise ValueError(f"malformed row pair at step {t}")
-        inter = state_of(inter_row)
-        post = state_of(post_row)
-        fill = FillMove(
-            {
-                cup: inter.fill_of(cup) - previous.fill_of(cup)
-                for cup in range(1, n + 1)
-            }
-        )
-        selected = tuple(int(cup) for cup in post_row[2].split())
-        empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
-        removed = tuple(
-            (cup, inter.fill_of(cup) - post.fill_of(cup))
-            for cup in range(1, n + 1)
-            if inter.fill_of(cup) != post.fill_of(cup)
-        )
+        try:
+            inter = state_of(inter_row)
+            fill = FillMove(
+                {
+                    cup: inter.fill_of(cup) - previous.fill_of(cup)
+                    for cup in range(1, n + 1)
+                }
+            )
+            selected = tuple(int(cup) for cup in post_row[2].split())
+            empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
+            problems = validate_fill(fill, config, previous)
+            problems += validate_empty(empty, config)
+            if problems:
+                raise ValueError("; ".join(problems))
+            post, removed = apply_empty(inter, empty)
+            if post != state_of(post_row):
+                raise ValueError("post row is not the replay of the selection")
+        except ValueError as err:
+            raise ValueError(f"step {t}: {err}") from None
         records.append(
             StepRecord(
                 t=t, fill=fill, intermediate=inter, empty=empty,
@@ -169,12 +194,6 @@ def read_trace(directory) -> Trace:
             )
         )
         previous = post
-    violation = None
-    if summary["violation"] is not None:
-        raw = summary["violation"]
-        violation = Violation(
-            step=raw["step"], source=raw["source"], reasons=tuple(raw["reasons"])
-        )
     return Trace(config=config, initial=initial, records=records, violation=violation)
 
 

@@ -124,11 +124,13 @@ def test_check_smoothed_trace_all_pass(tmp_path):
 
 
 def test_check_failing_trace_exits_1(tmp_path, capsys):
+    # a legal step that breaks cup-reset: cup 1 rises from 1 to 2, nothing drained
     bad = forge(
         2,
         1,
         "greedy",
         [({1: rat(1)}, (rat(2), rat(0)), (), (rat(2), rat(0)))],
+        initial=(1, 0),
     )
     write_trace(bad, tmp_path)
     assert run_cli("check", tmp_path, "--checkers", "cup-reset") == 1
@@ -165,6 +167,43 @@ def test_check_malformed_trace_exits_2(tmp_path):
 
 def test_check_missing_directory_exits_2(tmp_path):
     assert run_cli("check", tmp_path / "absent") == 2
+
+
+def test_check_illegal_trace_exits_2_naming_the_step(tmp_path, capsys):
+    # the rows put 2 units into one cup at p=1: the replay rejects step 1
+    bad = forge(
+        2,
+        1,
+        "greedy",
+        [({1: rat(1)}, (rat(2), rat(0)), (), (rat(2), rat(0)))],
+    )
+    write_trace(bad, tmp_path)
+    assert run_cli("check", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "step 1" in err
+    assert "exceeds 1" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_check_summary_missing_key_exits_2(tmp_path, capsys):
+    src = tmp_path / "game"
+    run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--out", src)
+    path = src / "summary.json"
+    summary = json.loads(path.read_text())
+    del summary["config"]["seed"]
+    path.write_text(json.dumps(summary))
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert "summary.json" in err
+    assert "seed" in err
+
+
+def test_check_empty_trace_csv_exits_2(tmp_path, capsys):
+    src = tmp_path / "game"
+    run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--out", src)
+    (src / "trace.csv").write_text("")
+    assert run_cli("check", src) == 2
+    assert "trace.csv" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ class TestAnchorSwap:
         trace = run_game(config)
         assert trace.violation is None
         for record in trace.records:
-            assert record.fill.total() == 4
+            assert sum(amount for _, amount in record.fill.amounts) == 4
 
     def test_oblivious_across_emptiers(self):
         base = dict(
@@ -262,11 +262,11 @@ class TestRandomFiller:
         config = GameConfig(
             n=3, p=1, steps=1, filler="random", truncation=3
         )
-        state = CupState.from_mapping(3, {1: rat(5, 2)})
+        state = CupState([rat(5, 2), 0, 0])
         for seed in range(30):
             filler = RandomFiller(config, stream(seed, FILLER_LABEL))
             move = filler.next_move(1, SimpleNamespace(state=state))
-            assert move.amount_into(1) <= rat(1, 2)
+            assert dict(move.amounts).get(1, 0) <= rat(1, 2)
             assert validate_fill(move, config, state) == []
 
     def test_zero_density_emits_nothing(self):

@@ -18,7 +18,6 @@ from cupgame.invariants import (
     LevelStats,
     PreconditionError,
     applicable_checkers,
-    bolus,
     check_av_invariant_single,
     check_cup_reset,
     check_filler_progress,
@@ -27,7 +26,6 @@ from cupgame.invariants import (
     check_record_constraints,
     check_truncated_invariant,
     check_working_set,
-    count_crossings,
     level_fill,
     level_series,
     max_level,
@@ -81,7 +79,7 @@ def test_level_series_hand_values():
     # h2 of cup 2 is 19/10: floor - 1 = 0; cup 1 peaks at h2 = 1/2
     assert two.integer_fill == [0, 0, 0]
     assert two.crossings == [0, 0, 0]
-    assert two.max_active == 2
+    assert max(two.active) == 2
     assert level_series(trace, 2) is two  # cached per (trace, level)
 
 
@@ -100,13 +98,7 @@ def test_crossing_counts_boundaries():
     )
     stats = level_series(trace, 1)
     assert stats.crossings == [0, 1, 0, 1]
-    assert count_crossings(trace, 1, 1, 3) == (2, (1,))
-    assert count_crossings(trace, 1, 2, 2) == (0, ())
-    assert bolus(trace, 1, 1, 3) == 0  # 2 crossings - 3 steps, floored at 0
-    with pytest.raises(ValueError):
-        count_crossings(trace, 1, 0, 2)
-    with pytest.raises(ValueError):
-        count_crossings(trace, 1, 3, 4)
+    assert stats.crossing_cups == [(), (1,), (), (1,)]
 
 
 def test_max_level_tracks_peak_backlog():

@@ -165,3 +165,19 @@ def test_config_file_rejections(tmp_path, body):
 def test_config_file_missing(tmp_path):
     with pytest.raises(ConfigError):
         load_config_file(tmp_path / "absent.ini")
+
+
+def test_read_rejects_post_row_the_selection_does_not_produce(tmp_path):
+    write_trace(sample_trace(emptier="greedy"), tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    # the first step that drained water: claim its post row kept everything
+    at = next(
+        i for i in range(2, len(lines), 2)
+        if lines[i].split(",")[4:9] != lines[i + 1].split(",")[4:9]
+    )
+    inter, post = lines[at].split(","), lines[at + 1].split(",")
+    lines[at + 1] = ",".join(post[:4] + inter[4:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"step {inter[0]}: post row"):
+        read_trace(tmp_path)
