@@ -27,7 +27,7 @@ from .experiments import (
     run_sweep,
     write_sweep_csv,
 )
-from .invariants import PreconditionError, run_checkers
+from .invariants import WINDOW, PreconditionError, run_checkers
 from .rational import exact_and_decimal, format_rat, parse_rat, to_decimal
 from .svg import backlog_svg
 from .traceio import config_dict, load_config_file, read_trace, write_trace
@@ -63,28 +63,14 @@ def _write_json(path: Path, payload: dict):
 
 
 def _assemble_config(args) -> GameConfig:
+    fields = ("n", "p", "steps", "seed", "filler", "emptier", "truncation")
+    settings = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
     if args.config:
-        config = load_config_file(args.config)
-        overrides = {}
-        for field in ("n", "p", "steps", "seed", "filler", "emptier"):
-            value = getattr(args, field)
-            if value is not None:
-                overrides[field] = value
-        if args.truncate is not None:
-            overrides["truncation"] = parse_rat(args.truncate)
-        return replace(config, **overrides) if overrides else config
-    missing = [key for key in ("n", "p", "steps") if getattr(args, key) is None]
+        return replace(load_config_file(args.config), **settings)
+    missing = [key for key in ("n", "p", "steps") if key not in settings]
     if missing:
         raise ConfigError(f"missing required settings (flag or config file): {missing}")
-    return GameConfig(
-        n=args.n,
-        p=args.p,
-        steps=args.steps,
-        seed=args.seed if args.seed is not None else 0,
-        filler=args.filler if args.filler is not None else "zero",
-        emptier=args.emptier if args.emptier is not None else "greedy",
-        truncation=None if args.truncate is None else parse_rat(args.truncate),
-    )
+    return GameConfig(**settings)
 
 
 def cmd_run(args) -> int:
@@ -116,7 +102,7 @@ def cmd_check(args) -> int:
     names = None
     if args.checkers:
         names = [part for part in args.checkers.split(",") if part]
-    reports = run_checkers(trace, names, window=args.window, d=args.d)
+    reports = run_checkers(trace, names, window=args.window)
     for report in reports:
         if report.passed:
             print(f"{report.check}: PASS")
@@ -277,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--filler", help="filler spec, e.g. growth or random:1/2")
     run.add_argument("--emptier", help="emptier spec, e.g. greedy or smoothed-greedy")
-    run.add_argument("--truncate", help="fill cap as a rational, e.g. 3 or 7/2")
+    run.add_argument("--truncate", dest="truncation", help="fill cap, e.g. 3 or 7/2")
     run.add_argument("--out", default="out", help="output directory (default: out)")
     run.add_argument("--svg", action="store_true", help="also write backlog.svg")
     run.set_defaults(func=cmd_run)
@@ -285,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run invariant checkers over a saved trace")
     check.add_argument("trace", help="directory containing trace.csv + summary.json")
     check.add_argument("--checkers", help="comma list (default: all applicable)")
-    check.add_argument("--window", type=int, default=256)
-    check.add_argument("--d", type=int, default=4)
+    check.add_argument("--window", type=int, default=WINDOW)
     check.add_argument("--out", help="report directory (default: the trace directory)")
     check.set_defaults(func=cmd_check)
 
@@ -333,10 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PreconditionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

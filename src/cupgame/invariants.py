@@ -3,9 +3,9 @@
 Each checker replays one mechanically checkable consequence of the game
 semantics over a finished trace and returns an InvariantReport: pass/fail,
 the parameters used, and on failure a minimal witness (step, cups, values).
-Checkers whose argument depends on the emptier's policy refuse traces played
-under a different emptier (PreconditionError) rather than reporting
-meaningless failures.
+A checker refuses a trace that breaks a hypothesis of its lemma, such as the
+emptier it is proven for (PreconditionError, from the one table _HYPOTHESES),
+rather than reporting meaningless failures.
 
 The level decomposition: the level-i fill of a cup is
 h^(i) = max(fill - 2(i-1), 0); a cup is level-i active iff fill >= 2(i-1);
@@ -60,12 +60,43 @@ def _jsonify(value):
     return format_rat(value)  # exact rationals
 
 
-def _require(trace: Trace, emptiers: tuple[str, ...], check: str):
-    if trace.config.emptier not in emptiers:
-        raise PreconditionError(
-            f"{check} needs an emptier in {emptiers}, trace used "
-            f"{trace.config.emptier!r}"
-        )
+PROGRESS_D = 4  # the analysis constant d of the filler-progress lemma
+WINDOW = 256  # default longest interval the working-set checker examines
+
+# The hypotheses each checker's lemma is proven under: the emptiers it holds
+# for, then further (holds(trace), what the checker needs) conditions.
+_CAPPED = (lambda trace: trace.config.truncation is not None, "a truncation cap")
+_SPARE_CUP = (lambda trace: trace.config.n >= trace.config.p + 1, "n >= p + 1")
+_ONE_PROCESSOR = (lambda trace: trace.config.p == 1, "p = 1")
+_EMPTY_START = (lambda trace: not any(trace.initial.fills), "an empty starting state")
+_HYPOTHESES = {
+    "truncated-tail": ((GREEDY,), _CAPPED),
+    "cup-reset": ((GREEDY, SMOOTHED),),
+    "record-gap": ((GREEDY,), _SPARE_CUP),
+    "single-av": ((GREEDY,), _ONE_PROCESSOR, _EMPTY_START),
+    "level-conservation": ((SMOOTHED,),),
+    "level-progress": ((SMOOTHED,),),
+    "working-set": ((SMOOTHED,),),
+    "fractional": ((SMOOTHED,),),
+}
+
+
+def _unmet(trace: Trace, check: str) -> str | None:
+    """The first hypothesis of the check's lemma the trace breaks, or None."""
+    emptiers, *conditions = _HYPOTHESES[check]
+    emptier = trace.config.emptier
+    if emptier not in emptiers:
+        return f"{check} needs an emptier in {emptiers}, trace used {emptier!r}"
+    for holds, needed in conditions:
+        if not holds(trace):
+            return f"{check} needs {needed}"
+    return None
+
+
+def _require(trace: Trace, check: str):
+    unmet = _unmet(trace, check)
+    if unmet is not None:
+        raise PreconditionError(unmet)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +143,8 @@ def check_truncated_invariant(trace: Trace) -> InvariantReport:
     For every step t and every k in 1..n-p, the N-skewed average of the k
     cups below the top p satisfies f^N_k(S_t) <= 1 + sum_{j=k+1}^n 1/j.
     """
-    _require(trace, (GREEDY,), "truncated-tail")
+    _require(trace, "truncated-tail")
     truncation = trace.config.truncation
-    if truncation is None:
-        raise PreconditionError("truncated-tail needs a truncation cap")
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p, "truncation": truncation}
     return _tail_scan(trace, "truncated-tail", params, p, p * truncation, "value")
@@ -132,7 +161,7 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
     If S_t(j) > S_{t-1}(j) for some j <= p, then every rank j+1..p+1 of S_t
     holds at least S_t(j) - 1.
     """
-    _require(trace, (GREEDY, SMOOTHED), "cup-reset")
+    _require(trace, "cup-reset")
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p}
     floor_rank = min(p + 1, n)
@@ -177,10 +206,8 @@ def check_record_constraints(trace: Trace) -> InvariantReport:
     i+1..p+1 average at least S_t(i) - 1, and the rank-1 to rank-(p+1) gap
     is at most H_p = sum_{j=1}^p 1/j.
     """
-    _require(trace, (GREEDY,), "record-gap")
+    _require(trace, "record-gap")
     n, p = trace.config.n, trace.config.p
-    if n < p + 1:
-        raise PreconditionError("record-gap needs n >= p + 1")
     gap_bound = harmonic_number(p)
     params = {"n": n, "p": p, "gap_bound": gap_bound}
     states = trace.states()
@@ -217,11 +244,7 @@ def check_av_invariant_single(trace: Trace) -> InvariantReport:
 
     For every step t and k in 1..n: av_k(S_t) <= 1 + sum_{j=k+1}^n 1/j.
     """
-    _require(trace, (GREEDY,), "single-av")
-    if trace.config.p != 1:
-        raise PreconditionError("single-av needs p = 1")
-    if any(fill != 0 for fill in trace.initial.fills):
-        raise PreconditionError("single-av needs an empty starting state")
+    _require(trace, "single-av")
     params = {"n": trace.config.n}
     return _tail_scan(trace, "single-av", params, 0, ZERO, "average")
 
@@ -345,7 +368,7 @@ def check_level_conservation(trace: Trace, level: int) -> InvariantReport:
     - #{drained cups whose intermediate level fill was >= 2}.  Holds because
     the skip-under-one emptier only ever removes whole units.
     """
-    _require(trace, (SMOOTHED,), "level-conservation")
+    _require(trace, "level-conservation")
     stats = level_series(trace, level)
     params = {"level": level}
     for t, record in enumerate(trace.records, start=1):
@@ -371,20 +394,20 @@ def check_level_conservation(trace: Trace, level: int) -> InvariantReport:
     return InvariantReport("level-conservation", True, params)
 
 
-def check_filler_progress(trace: Trace, level: int, d: int = 4) -> InvariantReport:
+def check_filler_progress(trace: Trace, level: int) -> InvariantReport:
     """Sustained high integer fill forces the filler to keep crossing.
 
     For each t1, with t0 the largest step <= t1 whose preceding integer fill
     was at most d(p-1)log2(n): crossings over t0..t1 must be at least
     p(t1 - t0 + 1) + T^(i)(t1) - d p log2(n).
     """
-    _require(trace, (SMOOTHED,), "level-progress")
+    _require(trace, "level-progress")
     n, p = trace.config.n, trace.config.p
     log2n = _log2(n)
-    threshold = d * (p - 1) * log2n
-    slack = d * p * log2n
+    threshold = PROGRESS_D * (p - 1) * log2n
+    slack = PROGRESS_D * p * log2n
     stats = level_series(trace, level)
-    params = {"level": level, "d": d, "threshold": threshold}
+    params = {"level": level, "d": PROGRESS_D, "threshold": threshold}
     cumulative = [0]
     for count in stats.crossings[1:]:
         cumulative.append(cumulative[-1] + count)
@@ -412,7 +435,7 @@ def check_filler_progress(trace: Trace, level: int, d: int = 4) -> InvariantRepo
     return InvariantReport("level-progress", True, params)
 
 
-def check_working_set(trace: Trace, level: int, window: int = 256) -> InvariantReport:
+def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> InvariantReport:
     """Crossing-heavy intervals use few cups, and those cups got the water.
 
     For every interval [t0, t1] with t1 - t0 < window in which crossings
@@ -420,7 +443,7 @@ def check_working_set(trace: Trace, level: int, window: int = 256) -> InvariantR
     |S| <= 2 A^(i)(t0 - 1), and the deposits into S over the interval total
     at least p(t1 - t0 + 1) - |S|.
     """
-    _require(trace, (SMOOTHED,), "working-set")
+    _require(trace, "working-set")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     p = trace.config.p
@@ -473,7 +496,7 @@ def check_working_set(trace: Trace, level: int, window: int = 256) -> InvariantR
 
 def check_fractional_preservation(trace: Trace) -> InvariantReport:
     """Fill minus offset minus cumulative deposit stays an integer per cup."""
-    _require(trace, (SMOOTHED,), "fractional")
+    _require(trace, "fractional")
     offsets = trace.initial.fills
     cums = _deposit_cumsums(trace)
     params = {"n": trace.config.n}
@@ -494,10 +517,11 @@ def check_fractional_preservation(trace: Trace) -> InvariantReport:
 # suite driver
 
 
-def _levels_report(trace, single, name, **kwargs) -> InvariantReport:
+def _levels_report(trace, single, *args) -> InvariantReport:
     reports = [
-        single(trace, level, **kwargs) for level in range(1, max_level(trace) + 1)
+        single(trace, level, *args) for level in range(1, max_level(trace) + 1)
     ]
+    name = reports[0].check
     failed = [report for report in reports if not report.passed]
     params = dict(reports[0].params)
     params["levels"] = len(reports)
@@ -508,57 +532,31 @@ def _levels_report(trace, single, name, **kwargs) -> InvariantReport:
     return InvariantReport(name, True, params)
 
 
-def _all_levels_conservation(trace, **kwargs):
-    return _levels_report(trace, check_level_conservation, "level-conservation")
-
-
-def _all_levels_progress(trace, d: int = 4, **kwargs):
-    return _levels_report(trace, check_filler_progress, "level-progress", d=d)
-
-
-def _all_levels_working_set(trace, window: int = 256, **kwargs):
-    return _levels_report(trace, check_working_set, "working-set", window=window)
-
-
-def _adapt(checker):
-    def run(trace, **kwargs):
-        return checker(trace)
-
-    return run
-
-
+# one call shape for every entry, CHECKERS[name](trace, window); the names are
+# the keys of _HYPOTHESES, and perfbench/tracing.py wraps each entry by name
 CHECKERS = {
-    "truncated-tail": _adapt(check_truncated_invariant),
-    "cup-reset": _adapt(check_cup_reset),
-    "record-gap": _adapt(check_record_constraints),
-    "single-av": _adapt(check_av_invariant_single),
-    "level-conservation": _all_levels_conservation,
-    "level-progress": _all_levels_progress,
-    "working-set": _all_levels_working_set,
-    "fractional": _adapt(check_fractional_preservation),
+    "truncated-tail": lambda trace, window: check_truncated_invariant(trace),
+    "cup-reset": lambda trace, window: check_cup_reset(trace),
+    "record-gap": lambda trace, window: check_record_constraints(trace),
+    "single-av": lambda trace, window: check_av_invariant_single(trace),
+    "level-conservation": lambda trace, window: _levels_report(
+        trace, check_level_conservation
+    ),
+    "level-progress": lambda trace, window: _levels_report(
+        trace, check_filler_progress
+    ),
+    "working-set": lambda trace, window: _levels_report(
+        trace, check_working_set, window
+    ),
+    "fractional": lambda trace, window: check_fractional_preservation(trace),
 }
 
 
 def applicable_checkers(trace: Trace) -> list[str]:
-    config = trace.config
-    names = []
-    if config.emptier == GREEDY:
-        if config.truncation is not None:
-            names.append("truncated-tail")
-        names.append("cup-reset")
-        if config.n > config.p:
-            names.append("record-gap")
-        if config.p == 1:
-            names.append("single-av")
-    if config.emptier == SMOOTHED:
-        names.extend(
-            ["cup-reset", "level-conservation", "level-progress", "working-set",
-             "fractional"]
-        )
-    return names
+    return [name for name in CHECKERS if _unmet(trace, name) is None]
 
 
-def run_checkers(trace: Trace, names=None, *, window: int = 256, d: int = 4):
+def run_checkers(trace: Trace, names=None, *, window: int = WINDOW):
     """Run the named checkers (default: all applicable) over the trace."""
     if names is None:
         names = applicable_checkers(trace)
@@ -566,5 +564,5 @@ def run_checkers(trace: Trace, names=None, *, window: int = 256, d: int = 4):
     for name in names:
         if name not in CHECKERS:
             raise ValueError(f"unknown checker {name!r}")
-        reports.append(CHECKERS[name](trace, window=window, d=d))
+        reports.append(CHECKERS[name](trace, window))
     return reports

@@ -76,7 +76,7 @@ class CupState:
             raise ValueError(f"k {k} outside 0..{self.n}")
         if k == 0:
             return ()
-        if self._ranked is not None or k > 8:
+        if self._ranked is not None or k > 8 or k == self.n:
             return tuple(self._rank_order()[:k])
         # insertion scan: cheaper than a full sort for the small k the
         # emptier needs, and allocation free on the hot path

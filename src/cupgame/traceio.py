@@ -115,8 +115,7 @@ def _config_from_dict(data: dict) -> GameConfig:
         seed=data["seed"],
         filler=data["filler"],
         emptier=data["emptier"],
-        truncation=None if data["truncation"] is None
-        else parse_rat(data["truncation"]),
+        truncation=data["truncation"],
         visibility=data["visibility"],
     )
 
@@ -131,14 +130,14 @@ def read_trace(directory) -> Trace:
     """
     directory = Path(directory)
     summary_path = directory / SUMMARY_NAME
-    summary = json.loads(summary_path.read_text())
     try:
+        summary = json.loads(summary_path.read_text())
         config = _config_from_dict(summary["config"])
         raw = summary["violation"]
         violation = None if raw is None else Violation(
             step=raw["step"], source=raw["source"], reasons=tuple(raw["reasons"])
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{summary_path}: missing or malformed entry {err}") from None
     n = config.n
     trace_path = directory / TRACE_NAME
@@ -149,10 +148,13 @@ def read_trace(directory) -> Trace:
             raise ValueError(f"{trace_path} is empty")
         expected = 4 + n + 2
         if len(header) != expected or header[:4] != ["t", "stage", "selected", "skip"]:
-            raise ValueError(f"unexpected trace header for n={n}: {header}")
+            raise ValueError(f"{trace_path}: unexpected header for n={n}: {header}")
         rows = list(reader)
-    if not rows or rows[0][1] != "post" or rows[0][0] != "0":
-        raise ValueError("trace must start with the t=0 post row")
+    for line, row in enumerate(rows, start=2):
+        if len(row) != expected:
+            raise ValueError(f"{trace_path}: line {line}: {len(row)} cells, not {expected}")
+    if not rows or rows[0][:2] != ["0", "post"]:
+        raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
 
     def state_of(row):
         return CupState([parse_rat(cell) for cell in row[4 : 4 + n]])
@@ -162,12 +164,11 @@ def read_trace(directory) -> Trace:
     previous = initial
     body = rows[1:]
     if len(body) % 2:
-        raise ValueError("dangling intermediate row at end of trace")
-    for index in range(0, len(body), 2):
-        inter_row, post_row = body[index], body[index + 1]
-        t = int(inter_row[0])
-        if inter_row[1] != "inter" or post_row[1] != "post" or int(post_row[0]) != t:
-            raise ValueError(f"malformed row pair at step {t}")
+        raise ValueError(f"{trace_path}: dangling intermediate row at end of trace")
+    for t in range(1, len(body) // 2 + 1):
+        inter_row, post_row = body[2 * t - 2], body[2 * t - 1]
+        if inter_row[:2] != [str(t), "inter"] or post_row[:2] != [str(t), "post"]:
+            raise ValueError(f"{trace_path}: line {2 * t + 1}: malformed step {t} rows")
         try:
             inter = state_of(inter_row)
             fill = FillMove(

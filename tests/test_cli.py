@@ -141,6 +141,24 @@ def test_check_failing_trace_exits_1(tmp_path, capsys):
     assert report["reports"][0]["witness"]["t"] == 1
 
 
+def test_check_default_runs_every_checker_whose_hypotheses_hold(tmp_path, capsys):
+    # the (1, 0) start rules out single-av, not the other greedy checkers
+    bad = forge(
+        2,
+        1,
+        "greedy",
+        [({1: rat(1)}, (rat(2), rat(0)), (), (rat(2), rat(0)))],
+        initial=(1, 0),
+    )
+    write_trace(bad, tmp_path)
+    assert run_cli("check", tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "cup-reset: FAIL" in out
+    report = json.loads((tmp_path / "report.json").read_text())
+    names = [entry["check"] for entry in report["reports"]]
+    assert names == ["cup-reset", "record-gap"]
+
+
 def test_check_unknown_checker_exits_2(tmp_path):
     src = tmp_path / "game"
     run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--out", src)

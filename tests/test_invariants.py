@@ -516,6 +516,26 @@ def test_applicable_checkers_by_config():
     assert applicable_checkers(blind) == []
 
 
+def test_applicable_checkers_are_exactly_the_runnable_ones():
+    # one declaration per checker: whatever applicable_checkers lists must run,
+    # and whatever it leaves out must refuse the trace
+    for emptier in ("greedy", "smoothed-greedy", "threshold-blind:2,1"):
+        for truncation in (None, 2):
+            for n, p in ((1, 1), (2, 1), (3, 2), (2, 2)):
+                for initial in (None, (rat(1, 2),) + (0,) * (n - 1)):
+                    trace = forge(
+                        n, p, emptier, [], initial=initial, truncation=truncation
+                    )
+                    runnable = []
+                    for name in CHECKERS:
+                        try:
+                            run_checkers(trace, [name])
+                        except PreconditionError:
+                            continue
+                        runnable.append(name)
+                    assert applicable_checkers(trace) == runnable, trace.config
+
+
 def test_run_checkers_default_all_green():
     reports = run_checkers(smoothed_run(seed=41, steps=120), window=64)
     assert [report.check for report in reports] == applicable_checkers(

@@ -181,3 +181,42 @@ def test_read_rejects_post_row_the_selection_does_not_produce(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"step {inter[0]}: post row"):
         read_trace(tmp_path)
+
+
+@pytest.mark.parametrize("t", ["7", "x"])
+def test_read_rejects_renumbered_step(tmp_path, t):
+    write_trace(sample_trace(), tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    for at in (4, 5):  # step 2's inter and post rows, file lines 5 and 6
+        lines[at] = t + lines[at][1:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"trace\.csv: line 5: malformed step 2"):
+        read_trace(tmp_path)
+
+
+def test_read_rejects_short_row(tmp_path):
+    write_trace(sample_trace(), tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:6])  # t=0 row keeps 2 of 5 cups
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"trace\.csv: line 2: 6 cells, not 11"):
+        read_trace(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace('"config"', "config", 1),  # not JSON
+        lambda text: text.replace('"n": 5', '"n": 0', 1),  # not a config
+        lambda text: text.replace('"truncation": null', '"truncation": 2.5'),
+    ],
+    ids=["not-json", "n-zero", "float-truncation"],
+)
+def test_read_names_the_bad_summary(tmp_path, edit):
+    write_trace(sample_trace(), tmp_path)
+    path = tmp_path / "summary.json"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=r"summary\.json"):
+        read_trace(tmp_path)
