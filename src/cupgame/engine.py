@@ -7,6 +7,11 @@ water from each, producing S_t.  Removal from one cup is min(1, fill) under
 the plain policy, or exactly 1-if-fill>=1-else-nothing under the
 skip-under-one policy carried by the move.
 
+A step's states inherit the previous state's int denominator (state.py):
+apply_fill raises it to an lcm, rescaling each cup once, only when a
+deposit's denominator does not divide it; apply_empty, removing 1 or a
+whole fill, keeps it.
+
 Strategies never mutate states.  If a strategy emits an illegal move the run
 aborts and the trace carries a structured violation report instead of
 guessing a repair; clamping would hide strategy bugs the checkers exist to
@@ -16,8 +21,9 @@ find.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
-from .rational import ONE, ZERO, as_rat
+from .rational import ONE, as_rat, rat
 from .rng import FILLER_LABEL, OFFSET_LABEL, stream
 from .state import CupState
 
@@ -125,6 +131,7 @@ class Trace:
     records: list[StepRecord]
     violation: Violation | None = None
     _backlogs: list = field(default=None, repr=False, compare=False)
+    _avs: list = field(default=None, repr=False, compare=False)
 
     @property
     def steps_executed(self) -> int:
@@ -144,47 +151,63 @@ class Trace:
 
     def av_series(self):
         """av_p(S_t) for t = 0..T."""
-        p = self.config.p
-        return [state.prefix_stats(p)[1] for state in self.states()]
+        if self._avs is None:
+            self._avs = [state.prefix_stats(self.config.p)[1] for state in self.states()]
+        return self._avs
 
     def empirical_M(self):
         """Largest av_p seen anywhere in the trace."""
         return max(self.av_series())
 
 
+def _move_den(den: int, move: FillMove) -> int:
+    """The smallest multiple of den that every deposit's denominator divides."""
+    for _, amount in move.amounts:
+        if den % amount.denominator:
+            den = lcm(den, amount.denominator)
+    return den
+
+
 def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[str]:
     """Reasons the move is illegal on state; empty list means legal."""
     problems = []
-    total = ZERO
+    den = _move_den(state.den, move)
+    scale = den // state.den
+    cap = config.truncation
+    total = 0
     for cup, amount in move.amounts:
         if not 1 <= cup <= config.n:
             problems.append(f"cup id {cup} outside 1..{config.n}")
             continue
-        if amount < 0:
+        if amount.numerator < 0:
             problems.append(f"negative deposit {amount} into cup {cup}")
             continue
-        if amount > 1:
+        if amount.numerator > amount.denominator:
             problems.append(f"deposit {amount} into cup {cup} exceeds 1")
+        deposit = amount.numerator * (den // amount.denominator)
         if (
-            config.truncation is not None
-            and state.fill_of(cup) + amount > config.truncation
+            cap is not None
+            and (state.scaled[cup - 1] * scale + deposit) * cap.denominator
+            > cap.numerator * den
         ):
             problems.append(
                 f"deposit {amount} into cup {cup} breaches truncation "
                 f"{config.truncation}"
             )
-        total += amount
-    if total > config.p:
-        problems.append(f"total deposit {total} exceeds budget {config.p}")
+        total += deposit
+    if total > config.p * den:
+        problems.append(f"total deposit {rat(total, den)} exceeds budget {config.p}")
     return problems
 
 
 def apply_fill(state: CupState, move: FillMove) -> CupState:
     """Deposit the move into the state; the caller validates legality."""
-    fills = list(state.fills)
+    den = _move_den(state.den, move)
+    scale = den // state.den
+    scaled = [fill * scale for fill in state.scaled] if scale > 1 else list(state.scaled)
     for cup, amount in move.amounts:
-        fills[cup - 1] += amount
-    return CupState._wrap(tuple(fills))
+        scaled[cup - 1] += amount.numerator * (den // amount.denominator)
+    return CupState._wrap(tuple(scaled), den)
 
 
 def validate_empty(move: EmptyMove, config: GameConfig) -> list[str]:
@@ -199,18 +222,24 @@ def validate_empty(move: EmptyMove, config: GameConfig) -> list[str]:
 
 def apply_empty(state: CupState, move: EmptyMove):
     """Apply removals; returns (new state, (cup, amount) pairs with amount > 0)."""
-    fills = list(state.fills)
+    den = state.den
+    scaled = list(state.scaled)
     removed = []
     for cup in move.cups:
-        fill = fills[cup - 1]
-        if move.skip_under_one:
-            amount = ONE if fill >= 1 else ZERO
-        else:
-            amount = fill if fill < 1 else ONE
-        if amount > 0:
-            fills[cup - 1] = fill - amount
-            removed.append((cup, amount))
-    return CupState._wrap(tuple(fills)), tuple(removed)
+        fill = scaled[cup - 1]
+        if fill >= den:
+            scaled[cup - 1] = fill - den
+            removed.append((cup, ONE))
+        elif fill > 0 and not move.skip_under_one:
+            scaled[cup - 1] = 0
+            removed.append((cup, rat(fill, den)))
+    post = CupState._wrap(tuple(scaled), den)
+    if state._fills is not None:  # a replayed trace: untouched cups share rationals
+        fills = list(state._fills)
+        for cup, amount in removed:
+            fills[cup - 1] -= amount
+        post._fills = tuple(fills)
+    return post, tuple(removed)
 
 
 @dataclass

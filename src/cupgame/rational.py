@@ -1,10 +1,10 @@
 """Exact rational arithmetic used everywhere in the simulator.
 
 Every fill, deposit, threshold, and statistic is an exact rational; no
-floating-point value ever enters game arithmetic.  The preferred backend is
-gmpy2.mpq (C implementation, ~10x faster than fractions.Fraction on the sort
-and add operations that dominate a simulation step); if gmpy2 is unavailable
-the module falls back to fractions.Fraction with identical semantics.
+floating-point value ever enters game arithmetic.  The one backend is
+fractions.Fraction.  The engine's hot path does not use it: cup states hold
+ints over a common denominator (state.py) and build rationals only where a
+value leaves the engine.
 
 Canonical text form is "num/den" in lowest terms with an explicit denominator
 ("0/1", "2/1", "11/6"); the parser additionally accepts bare integers.
@@ -18,21 +18,15 @@ import decimal
 from fractions import Fraction
 from numbers import Rational
 
-try:
-    from gmpy2 import mpq as _mpq
+RAT_BACKEND = "fractions"
 
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-    RAT_BACKEND = "fractions"
-
-ZERO = _mpq(0)
-ONE = _mpq(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rat(numerator: int, denominator: int = 1):
     """Build the exact rational numerator/denominator."""
-    return _mpq(numerator, denominator)
+    return Fraction(numerator, denominator)
 
 
 def as_rat(value):
@@ -41,12 +35,12 @@ def as_rat(value):
     Accepts ints, Fractions, backend rationals, and canonical text.  Floats
     are rejected: they are not exact and must never leak into game state.
     """
-    if type(value) is _mpq:  # hot path: game arithmetic stays in the backend
+    if type(value) is Fraction:  # hot path: game arithmetic stays in the backend
         return value
     if isinstance(value, bool):
         raise ValueError(f"not an exact rational: {value!r}")
     if isinstance(value, (int, Rational)):
-        return _mpq(value)
+        return Fraction(value)
     if isinstance(value, str):
         return parse_rat(value)
     raise ValueError(f"not an exact rational: {value!r}")
@@ -58,12 +52,12 @@ def is_integral(value) -> bool:
 
 def floor_rat(value) -> int:
     value = as_rat(value)
-    return int(value.numerator) // int(value.denominator)
+    return value.numerator // value.denominator
 
 
 def format_rat(value) -> str:
     value = as_rat(value)
-    return f"{int(value.numerator)}/{int(value.denominator)}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rat(text: str):
@@ -71,12 +65,12 @@ def parse_rat(text: str):
     parts = text.strip().split("/")
     try:
         if len(parts) == 1:
-            return _mpq(int(parts[0]))
+            return Fraction(int(parts[0]))
         if len(parts) == 2:
             den = int(parts[1])
             if den == 0:
                 raise ValueError
-            return _mpq(int(parts[0]), den)
+            return Fraction(int(parts[0]), den)
     except (ValueError, TypeError):
         pass
     raise ValueError(f"malformed rational: {text!r}")
@@ -91,10 +85,7 @@ def to_decimal(value, significant: int = 15) -> str:
     value = as_rat(value)
     with decimal.localcontext() as ctx:
         ctx.prec = significant
-        quotient = decimal.Decimal(int(value.numerator)) / decimal.Decimal(
-            int(value.denominator)
-        )
-        return str(quotient)
+        return str(decimal.Decimal(value.numerator) / value.denominator)
 
 
 def exact_and_decimal(value) -> dict:

@@ -6,9 +6,16 @@ rank 1 is fullest and ties break toward the smaller cup id, so every rank
 query has exactly one answer and identical states always rank identically.
 The tie rule comes from the ranking itself: one stable descending sort of
 the cup ids by fill keeps tied cups in id order.
+
+Fills are Python ints `scaled` over one denominator `den`, so ranks, sums
+and maxima compare ints.  A state built from rationals starts `den` at the
+lcm of their denominators; engine steps keep or raise it (engine.py), so
+within a run it never shrinks.  The rational `fills` are built on first use.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .rational import ZERO, as_rat, rat
 
@@ -16,7 +23,7 @@ from .rational import ZERO, as_rat, rat
 class CupState:
     """Immutable fills for cups 1..n with a cached rank order."""
 
-    __slots__ = ("fills", "_ranked")
+    __slots__ = ("scaled", "den", "_fills", "_ranked")
 
     def __init__(self, fills):
         fills = tuple(as_rat(f) for f in fills)
@@ -25,15 +32,19 @@ class CupState:
                 raise ValueError(f"cup {index + 1} has negative fill {fill}")
         if not fills:
             raise ValueError("a game needs at least one cup")
-        self.fills = fills
+        self.den = den = lcm(*(fill.denominator for fill in fills))
+        self.scaled = tuple(fill.numerator * (den // fill.denominator) for fill in fills)
+        self._fills = fills
         self._ranked = None
 
     @classmethod
-    def _wrap(cls, fills: tuple) -> "CupState":
-        # engine transitions only: fills must already be nonnegative backend
-        # rationals, so re-validating every cup per step would be pure waste
+    def _wrap(cls, scaled: tuple, den: int) -> "CupState":
+        # engine transitions only: scaled must already hold nonnegative ints
+        # over den, so re-validating every cup per step would be pure waste
         state = object.__new__(cls)
-        state.fills = fills
+        state.scaled = scaled
+        state.den = den
+        state._fills = None
         state._ranked = None
         return state
 
@@ -45,18 +56,26 @@ class CupState:
 
     @property
     def n(self) -> int:
-        return len(self.fills)
+        return len(self.scaled)
+
+    @property
+    def fills(self) -> tuple:
+        """The exact rational fills, cups 1..n."""
+        if self._fills is None:
+            self._fills = tuple(rat(scaled, self.den) for scaled in self.scaled)
+        return self._fills
 
     def fill_of(self, cup: int):
         if not 1 <= cup <= self.n:
             raise ValueError(f"cup id {cup} outside 1..{self.n}")
-        return self.fills[cup - 1]
+        if self._fills is None:  # one cup's rational, not the whole tuple
+            return rat(self.scaled[cup - 1], self.den)
+        return self._fills[cup - 1]
 
     def _rank_order(self):
         """Cup ids, fullest first; the stable sort keeps ties in id order."""
         if self._ranked is None:
-            fills = self.fills
-            ranked = sorted(range(self.n), key=fills.__getitem__, reverse=True)
+            ranked = sorted(range(self.n), key=self.scaled.__getitem__, reverse=True)
             self._ranked = [index + 1 for index in ranked]
         return self._ranked
 
@@ -68,7 +87,7 @@ class CupState:
 
     def rank_fill(self, rank: int):
         """Fill of the rank-th fullest cup."""
-        return self.fills[self.rank_cup(rank) - 1]
+        return self.fill_of(self.rank_cup(rank))
 
     def top_cups(self, k: int) -> tuple[int, ...]:
         """The k fullest cup ids in rank order (ties toward smaller id)."""
@@ -80,7 +99,7 @@ class CupState:
             return tuple(self._rank_order()[:k])
         # insertion scan: cheaper than a full sort for the small k the
         # emptier needs, and allocation free on the hot path
-        fills = self.fills
+        fills = self.scaled
         top: list[int] = []
         for cup in range(1, self.n + 1):
             fill = fills[cup - 1]
@@ -98,15 +117,12 @@ class CupState:
         """(total, average) fill of the i fullest cups."""
         if not 1 <= i <= self.n:
             raise ValueError(f"rank {i} outside 1..{self.n}")
-        fills = self.fills
-        total = ZERO
-        for cup in self.top_cups(i):
-            total += fills[cup - 1]
-        return total, total / i
+        total = sum(self.scaled[cup - 1] for cup in self.top_cups(i))
+        return rat(total, self.den), rat(total, self.den * i)
 
     def backlog(self):
         """Fill of the fullest cup."""
-        return max(self.fills)
+        return rat(max(self.scaled), self.den)
 
     def __eq__(self, other):
         return isinstance(other, CupState) and self.fills == other.fills

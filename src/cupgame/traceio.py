@@ -35,16 +35,17 @@ from .engine import (
     validate_fill,
 )
 from .invariants import record_setting_steps
-from .rational import exact_and_decimal, format_rat, parse_rat, to_decimal
+from .rational import exact_and_decimal, format_rat, parse_rat, rat, to_decimal
 
 TRACE_NAME = "trace.csv"
 SUMMARY_NAME = "summary.json"
 
 
 def _row(t: int, stage: str, state: CupState, p: int, selected="", skip=""):
-    tot, av = state.prefix_stats(min(p, len(state.fills)))
+    tot, av = state.prefix_stats(min(p, state.n))
     cells = [str(t), stage, selected, skip]
-    cells.extend(format_rat(fill) for fill in state.fills)
+    # from the ints, so writing a trace keeps no rational copy of each state
+    cells.extend(format_rat(rat(scaled, state.den)) for scaled in state.scaled)
     cells.append(to_decimal(state.backlog()))
     cells.append(to_decimal(av))
     return cells
@@ -159,14 +160,17 @@ def read_trace(directory) -> Trace:
     def state_of(row):
         return CupState([parse_rat(cell) for cell in row[4 : 4 + n]])
 
-    initial = state_of(rows[0])
+    rows.reverse()  # popped in file order, so each row's text is freed once replayed
+    try:
+        initial = state_of(rows.pop())
+    except ValueError as err:
+        raise ValueError(f"{trace_path}: line 2: {err}") from None
     records = []
     previous = initial
-    body = rows[1:]
-    if len(body) % 2:
+    if len(rows) % 2:
         raise ValueError(f"{trace_path}: dangling intermediate row at end of trace")
-    for t in range(1, len(body) // 2 + 1):
-        inter_row, post_row = body[2 * t - 2], body[2 * t - 1]
+    for t in range(1, len(rows) // 2 + 1):
+        inter_row, post_row = rows.pop(), rows.pop()
         if inter_row[:2] != [str(t), "inter"] or post_row[:2] != [str(t), "post"]:
             raise ValueError(f"{trace_path}: line {2 * t + 1}: malformed step {t} rows")
         try:

@@ -220,3 +220,20 @@ def test_read_names_the_bad_summary(tmp_path, edit):
     path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError, match=r"summary\.json"):
         read_trace(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("x", "malformed rational: 'x'"), ("-1/2", "cup 1 has negative fill -1/2")],
+    ids=["not-rational", "negative"],
+)
+def test_read_locates_a_bad_first_row(tmp_path, cell, message):
+    write_trace(sample_trace(), tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    row = lines[1].split(",")
+    row[4] = cell  # cup 1 of the t=0 row, file line 2
+    lines[1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"trace\.csv: line 2: {message}"):
+        read_trace(tmp_path)
