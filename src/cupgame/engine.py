@@ -233,13 +233,7 @@ def apply_empty(state: CupState, move: EmptyMove):
         elif fill > 0 and not move.skip_under_one:
             scaled[cup - 1] = 0
             removed.append((cup, rat(fill, den)))
-    post = CupState._wrap(tuple(scaled), den)
-    if state._fills is not None:  # a replayed trace: untouched cups share rationals
-        fills = list(state._fills)
-        for cup, amount in removed:
-            fills[cup - 1] -= amount
-        post._fills = tuple(fills)
-    return post, tuple(removed)
+    return CupState._wrap(tuple(scaled), den), tuple(removed)
 
 
 @dataclass

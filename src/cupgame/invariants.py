@@ -14,6 +14,12 @@ deposit f crosses a level-i threshold s (integer, s >= 2) at step t when
 h^(i)(t-1) < s <= h^(i)(t-1) + f.  Unit removals decrease a positive integer
 fill by exactly one per drained cup, which is what makes T^(i) obey an exact
 conservation law under the skip-under-one emptier.
+
+The checkers read the cup states' ints (state.py): a fill is scaled/den, so
+floors are scaled // den and comparisons cross-multiply.  Values that meet
+across states (deposit sums, offsets) are put over one trace denominator D,
+the lcm of every state's den and every deposit's denominator.  A rational is
+built only for a witness or a report parameter.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import weakref
 from dataclasses import dataclass
 
 from .engine import Trace
-from .rational import ONE, ZERO, as_rat, floor_rat, format_rat, is_integral, rat
+from .rational import ONE, ZERO, floor_rat, format_rat, rat
 from .state import harmonic_number
 
 GREEDY = "greedy"
@@ -68,7 +74,7 @@ WINDOW = 256  # default longest interval the working-set checker examines
 _CAPPED = (lambda trace: trace.config.truncation is not None, "a truncation cap")
 _SPARE_CUP = (lambda trace: trace.config.n >= trace.config.p + 1, "n >= p + 1")
 _ONE_PROCESSOR = (lambda trace: trace.config.p == 1, "p = 1")
-_EMPTY_START = (lambda trace: not any(trace.initial.fills), "an empty starting state")
+_EMPTY_START = (lambda trace: not any(trace.initial.scaled), "an empty starting state")
 _HYPOTHESES = {
     "truncated-tail": ((GREEDY,), _CAPPED),
     "cup-reset": ((GREEDY, SMOOTHED),),
@@ -125,13 +131,20 @@ def _tail_scan(trace, name, params, skip, charged, value_key) -> InvariantReport
     """
     n = trace.config.n
     bounds = _tail_bounds(n, n - skip)
+    limits = {}  # state den -> largest scaled mass each bound allows
     for t, state in enumerate(trace.states()):
-        fills = state.fills
-        mass = ZERO
+        den = state.den
+        limit = limits.get(den)
+        if limit is None:
+            limit = limits[den] = [None] + [
+                floor_rat((bounds[k] + charged) * den) for k in range(1, n - skip + 1)
+            ]
+        fills = state.scaled
+        mass = 0
         for k, cup in enumerate(state.top_cups(n), start=1 - skip):
             mass += fills[cup - 1]
-            if k > 0 and mass - charged > bounds[k]:
-                value = (mass - charged) / k
+            if k > 0 and mass > limit[k]:
+                value = (rat(mass, den) - charged) / k
                 witness = {"t": t, "k": k, value_key: value, "bound": bounds[k] / k}
                 return InvariantReport(name, False, params, witness)
     return InvariantReport(name, True, params)
@@ -150,9 +163,9 @@ def check_truncated_invariant(trace: Trace) -> InvariantReport:
     return _tail_scan(trace, "truncated-tail", params, p, p * truncation, "value")
 
 
-def _top_fills(state, k: int) -> list:
-    """Fills of the k fullest cups, in rank order."""
-    return [state.fills[cup - 1] for cup in state.top_cups(k)]
+def _top_scaled(state, k: int) -> list:
+    """Scaled fills (over state.den) of the k fullest cups, in rank order."""
+    return [state.scaled[cup - 1] for cup in state.top_cups(k)]
 
 
 def check_cup_reset(trace: Trace) -> InvariantReport:
@@ -165,13 +178,13 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p}
     floor_rank = min(p + 1, n)
-    ranked = [_top_fills(state, floor_rank) for state in trace.states()]
+    ranked = [(state.den, _top_scaled(state, floor_rank)) for state in trace.states()]
     for t in range(1, len(ranked)):
-        prev, cur = ranked[t - 1], ranked[t]
+        (prev_den, prev), (den, cur) = ranked[t - 1], ranked[t]
         low = cur[floor_rank - 1]
         for j in range(1, min(p, n) + 1):
             fill = cur[j - 1]
-            if fill > prev[j - 1] and low < fill - 1:
+            if fill * prev_den > prev[j - 1] * den and low < fill - den:
                 return InvariantReport(
                     "cup-reset",
                     False,
@@ -179,9 +192,9 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
                     {
                         "t": t,
                         "rank": j,
-                        "fill": fill,
-                        "previous_fill": prev[j - 1],
-                        "rank_fill_p_plus_1": low,
+                        "fill": rat(fill, den),
+                        "previous_fill": rat(prev[j - 1], prev_den),
+                        "rank_fill_p_plus_1": rat(low, den),
                     },
                 )
     return InvariantReport("cup-reset", True, params)
@@ -212,11 +225,11 @@ def check_record_constraints(trace: Trace) -> InvariantReport:
     params = {"n": n, "p": p, "gap_bound": gap_bound}
     states = trace.states()
     for t in record_setting_steps(trace):
-        top = _top_fills(states[t], p + 1)
+        den = states[t].den
+        top = _top_scaled(states[t], p + 1)
         for i in range(1, p + 1):
             mass = sum(top[i:])
-            need = (p + 1 - i) * (top[i - 1] - 1)
-            if mass < need:
+            if mass < (p + 1 - i) * (top[i - 1] - den):
                 return InvariantReport(
                     "record-gap",
                     False,
@@ -224,17 +237,17 @@ def check_record_constraints(trace: Trace) -> InvariantReport:
                     {
                         "t": t,
                         "i": i,
-                        "tail_average": mass / (p + 1 - i),
-                        "rank_fill": top[i - 1],
+                        "tail_average": rat(mass, den * (p + 1 - i)),
+                        "rank_fill": rat(top[i - 1], den),
                     },
                 )
         gap = top[0] - top[p]
-        if gap > gap_bound:
+        if gap * gap_bound.denominator > gap_bound.numerator * den:
             return InvariantReport(
                 "record-gap",
                 False,
                 params,
-                {"t": t, "gap": gap, "bound": gap_bound},
+                {"t": t, "gap": rat(gap, den), "bound": gap_bound},
             )
     return InvariantReport("record-gap", True, params)
 
@@ -253,14 +266,6 @@ def check_av_invariant_single(trace: Trace) -> InvariantReport:
 # level decomposition
 
 
-def level_fill(fill, level: int):
-    """h^(i) = max(fill - 2(i-1), 0)."""
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    shifted = as_rat(fill) - 2 * (level - 1)
-    return shifted if shifted > 0 else ZERO
-
-
 @dataclass
 class LevelStats:
     """Per-step level-i series computed once per (trace, level)."""
@@ -277,14 +282,15 @@ _level_cache: "weakref.WeakKeyDictionary[Trace, dict]" = weakref.WeakKeyDictiona
 
 def _state_level_numbers(state, level: int):
     floor_gate = 2 * (level - 1)
+    den = state.den
     active = 0
     integer_fill = 0
-    for fill in state.fills:
-        if fill >= floor_gate:
+    for scaled in state.scaled:
+        whole = scaled // den  # floor(fill): fill >= gate iff whole >= gate
+        if whole >= floor_gate:
             active += 1
-            whole = floor_rat(fill) - floor_gate - 1
-            if whole > 0:
-                integer_fill += whole
+            if whole > floor_gate + 1:
+                integer_fill += whole - floor_gate - 1
     return active, integer_fill
 
 
@@ -301,13 +307,17 @@ def level_series(trace: Trace, level: int) -> LevelStats:
     a0, t0 = _state_level_numbers(trace.initial, level)
     active.append(a0)
     integer_fill.append(t0)
+    den, deposits = _deposits(trace)
+    gate = 2 * (level - 1) * den
     previous = trace.initial
-    for record in trace.records:
+    for record, deposit in zip(trace.records, deposits):
         count = 0
         cups = []
-        for cup, amount in record.fill.amounts:
-            before = level_fill(previous.fill_of(cup), level)
-            hit = floor_rat(before + amount) - max(floor_rat(before), 1)
+        scale = den // previous.den
+        fills = previous.scaled
+        for cup, amount in deposit:
+            before = max(fills[cup - 1] * scale - gate, 0)  # h^(i) over D
+            hit = (before + amount) // den - max(before // den, 1)
             if hit > 0:
                 count += hit
                 cups.append(cup)
@@ -330,25 +340,41 @@ def level_series(trace: Trace, level: int) -> LevelStats:
 
 def max_level(trace: Trace) -> int:
     """Highest level at which any state has positive level fill."""
-    top = max(state.backlog() for state in trace.states())
-    return max(1, floor_rat(top / 2) + 1)
+    return max(1, floor_rat(trace.max_backlog() / 2) + 1)
+
+
+def _deposits(trace: Trace):
+    """(D, deposits): deposits[t-1] holds step t's (cup, amount * D) pairs.
+
+    D is the lcm of every state's den and every deposit's denominator.  The
+    last state's den would not do: a forged trace's dens need not grow.
+    """
+    cache = _level_cache.setdefault(trace, {})
+    if "deposits" not in cache:
+        dens = {state.den for state in trace.states()}
+        dens.update(a.denominator for record in trace.records for _, a in record.fill.amounts)
+        den = math.lcm(*dens)
+        deposits = [
+            [(cup, a.numerator * (den // a.denominator)) for cup, a in record.fill.amounts]
+            for record in trace.records
+        ]
+        cache["deposits"] = den, deposits
+    return cache["deposits"]
 
 
 def _deposit_cumsums(trace: Trace):
-    """cum[cup-1][t] = total deposited into cup during steps 1..t."""
+    """(D, cums): cums[t][cup-1] = D times the total deposited into cup in steps 1..t."""
     cache = _level_cache.setdefault(trace, {})
-    if "deposits" in cache:
-        return cache["deposits"]
-    n = trace.config.n
-    cums = [[ZERO] * (trace.steps_executed + 1) for _ in range(n)]
-    running = [ZERO] * n
-    for index, record in enumerate(trace.records, start=1):
-        for cup, amount in record.fill.amounts:
-            running[cup - 1] += amount
-        for cup in range(n):
-            cums[cup][index] = running[cup]
-    cache["deposits"] = cums
-    return cums
+    if "cumsums" not in cache:
+        den, deposits = _deposits(trace)
+        running = [0] * trace.config.n
+        cums = [tuple(running)]
+        for deposit in deposits:
+            for cup, amount in deposit:
+                running[cup - 1] += amount
+            cums.append(tuple(running))
+        cache["cumsums"] = den, cums
+    return cache["cumsums"]
 
 
 def _log2(n: int):
@@ -372,11 +398,9 @@ def check_level_conservation(trace: Trace, level: int) -> InvariantReport:
     stats = level_series(trace, level)
     params = {"level": level}
     for t, record in enumerate(trace.records, start=1):
-        drains = sum(
-            1
-            for cup, amount in record.removed
-            if level_fill(record.intermediate.fill_of(cup), level) >= 2
-        )
+        inter = record.intermediate
+        full = 2 * level * inter.den  # level fill >= 2 iff fill >= 2 * level
+        drains = sum(1 for cup, _ in record.removed if inter.scaled[cup - 1] >= full)
         expected = stats.integer_fill[t - 1] + stats.crossings[t] - drains
         if stats.integer_fill[t] != expected:
             return InvariantReport(
@@ -448,7 +472,7 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
         raise ValueError(f"window must be >= 1, got {window}")
     p = trace.config.p
     stats = level_series(trace, level)
-    cums = _deposit_cumsums(trace)
+    den, cums = _deposit_cumsums(trace)
     params = {"level": level, "window": window}
     steps = trace.steps_executed
     for t0 in range(1, steps + 1):
@@ -475,10 +499,10 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
                         "cups": sorted(cups),
                     },
                 )
-            deposits = ZERO
-            for cup in cups:
-                deposits += cums[cup - 1][t1] - cums[cup - 1][t0 - 1]
-            if deposits < p * length - len(cups):
+            before, after = cums[t0 - 1], cums[t1]
+            deposits = sum(after[cup - 1] - before[cup - 1] for cup in cups)
+            required = p * length - len(cups)
+            if deposits < required * den:
                 return InvariantReport(
                     "working-set",
                     False,
@@ -486,8 +510,8 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
                     {
                         "t0": t0,
                         "t1": t1,
-                        "deposits": deposits,
-                        "required": p * length - len(cups),
+                        "deposits": rat(deposits, den),
+                        "required": required,
                         "cups": sorted(cups),
                     },
                 )
@@ -497,18 +521,22 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
 def check_fractional_preservation(trace: Trace) -> InvariantReport:
     """Fill minus offset minus cumulative deposit stays an integer per cup."""
     _require(trace, "fractional")
-    offsets = trace.initial.fills
-    cums = _deposit_cumsums(trace)
+    den, cums = _deposit_cumsums(trace)
+    start = trace.initial
+    offsets = [scaled * (den // start.den) for scaled in start.scaled]
     params = {"n": trace.config.n}
     for t, record in enumerate(trace.records, start=1):
-        for cup in range(1, trace.config.n + 1):
-            delta = record.post.fill_of(cup) - offsets[cup - 1] - cums[cup - 1][t]
-            if not is_integral(delta):
+        scale = den // record.post.den
+        for cup, (fill, offset, cum) in enumerate(
+            zip(record.post.scaled, offsets, cums[t]), start=1
+        ):
+            delta = fill * scale - offset - cum
+            if delta % den:
                 return InvariantReport(
                     "fractional",
                     False,
                     params,
-                    {"t": t, "cup": cup, "residue": delta},
+                    {"t": t, "cup": cup, "residue": rat(delta, den)},
                 )
     return InvariantReport("fractional", True, params)
 

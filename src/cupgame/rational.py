@@ -3,8 +3,8 @@
 Every fill, deposit, threshold, and statistic is an exact rational; no
 floating-point value ever enters game arithmetic.  The one backend is
 fractions.Fraction.  The engine's hot path does not use it: cup states hold
-ints over a common denominator (state.py) and build rationals only where a
-value leaves the engine.
+ints over a common denominator (state.py), which the checkers and the trace
+text also read, and rationals are built only where a value leaves them.
 
 Canonical text form is "num/den" in lowest terms with an explicit denominator
 ("0/1", "2/1", "11/6"); the parser additionally accepts bare integers.
@@ -44,10 +44,6 @@ def as_rat(value):
     if isinstance(value, str):
         return parse_rat(value)
     raise ValueError(f"not an exact rational: {value!r}")
-
-
-def is_integral(value) -> bool:
-    return as_rat(value).denominator == 1
 
 
 def floor_rat(value) -> int:

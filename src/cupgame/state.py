@@ -117,7 +117,7 @@ class CupState:
         """(total, average) fill of the i fullest cups."""
         if not 1 <= i <= self.n:
             raise ValueError(f"rank {i} outside 1..{self.n}")
-        total = sum(self.scaled[cup - 1] for cup in self.top_cups(i))
+        total = sum(sorted(self.scaled, reverse=True)[:i])  # ties cannot change it
         return rat(total, self.den), rat(total, self.den * i)
 
     def backlog(self):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+from math import gcd, lcm
 from pathlib import Path
 
 from .engine import (
@@ -41,12 +42,14 @@ TRACE_NAME = "trace.csv"
 SUMMARY_NAME = "summary.json"
 
 
-def _row(t: int, stage: str, state: CupState, p: int, selected="", skip=""):
-    tot, av = state.prefix_stats(min(p, state.n))
+def _row(t: int, stage: str, state: CupState, backlog, av, selected="", skip=""):
+    den = state.den
     cells = [str(t), stage, selected, skip]
-    # from the ints, so writing a trace keeps no rational copy of each state
-    cells.extend(format_rat(rat(scaled, state.den)) for scaled in state.scaled)
-    cells.append(to_decimal(state.backlog()))
+    # lowest terms straight from the ints: one gcd per cup, no rational
+    for scaled in state.scaled:
+        common = gcd(scaled, den)
+        cells.append(f"{scaled // common}/{den // common}")
+    cells.append(to_decimal(backlog))
     cells.append(to_decimal(av))
     return cells
 
@@ -63,12 +66,18 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
         header.extend(f"cup_{cup}" for cup in range(1, n + 1))
         header.extend(["backlog", "av_p"])
         writer.writerow(header)
-        writer.writerow(_row(0, "post", trace.initial, p))
-        for record in trace.records:
-            writer.writerow(_row(record.t, "inter", record.intermediate, p))
+        # the post rows' statistics are the series summarize reads too
+        backlogs, avs = trace.backlog_series(), trace.av_series()
+        writer.writerow(_row(0, "post", trace.initial, backlogs[0], avs[0]))
+        for index, record in enumerate(trace.records, start=1):
+            inter = record.intermediate
+            av = inter.prefix_stats(p)[1]
+            writer.writerow(_row(record.t, "inter", inter, inter.backlog(), av))
             selected = " ".join(str(cup) for cup in record.empty.cups)
             skip = "1" if record.empty.skip_under_one else "0"
-            writer.writerow(_row(record.t, "post", record.post, p, selected, skip))
+            writer.writerow(
+                _row(record.t, "post", record.post, backlogs[index], avs[index], selected, skip)
+            )
     summary_path = directory / SUMMARY_NAME
     blob = json.dumps(summarize(trace), sort_keys=True, indent=2) + "\n"
     summary_path.write_text(blob)
@@ -121,19 +130,49 @@ def _config_from_dict(data: dict) -> GameConfig:
     )
 
 
+def _scaled_row(cells, den: int):
+    """Cup cells as (scaled, den): ints over the least multiple of den that
+    every cell's denominator divides."""
+    pairs = []
+    for cell in cells:
+        num, slash, bottom = cell.partition("/")
+        try:
+            num, bottom = int(num), int(bottom) if slash else 1
+        except ValueError:
+            bottom = 0
+        if not bottom:
+            raise ValueError(f"malformed rational: {cell!r}")
+        if bottom < 0:
+            num, bottom = -num, -bottom
+        pairs.append((num, bottom))
+    for cup, (num, bottom) in enumerate(pairs, start=1):
+        if num < 0:
+            raise ValueError(f"cup {cup} has negative fill {rat(num, bottom)}")
+        if den % bottom:
+            den = lcm(den, bottom)
+    return tuple(num * (den // bottom) for num, bottom in pairs), den
+
+
 def read_trace(directory) -> Trace:
     """Rebuild a Trace from a directory written by write_trace.
 
     Every step is replayed, not trusted: the fill move (intermediate minus
     previous post) and the selection must be legal for the config, and the
     selection's removals must turn the intermediate row into the post row.
-    Any breach raises ValueError naming the step.
+    Any breach raises ValueError naming the step.  The replay must also run
+    as many steps, and reach the same max backlog, as summary.json says.
+
+    Rows are read as ints over one denominator, carried forward as an lcm as
+    the engine's is, so a cup that drains never shrinks it; a rational is
+    built only for a deposit.
     """
     directory = Path(directory)
     summary_path = directory / SUMMARY_NAME
     try:
         summary = json.loads(summary_path.read_text())
         config = _config_from_dict(summary["config"])
+        steps_executed = summary["steps_executed"]
+        max_backlog = parse_rat(summary["max_backlog"]["exact"])
         raw = summary["violation"]
         violation = None if raw is None else Violation(
             step=raw["step"], source=raw["source"], reasons=tuple(raw["reasons"])
@@ -157,12 +196,9 @@ def read_trace(directory) -> Trace:
     if not rows or rows[0][:2] != ["0", "post"]:
         raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
 
-    def state_of(row):
-        return CupState([parse_rat(cell) for cell in row[4 : 4 + n]])
-
     rows.reverse()  # popped in file order, so each row's text is freed once replayed
     try:
-        initial = state_of(rows.pop())
+        initial = CupState._wrap(*_scaled_row(rows.pop()[4 : 4 + n], 1))
     except ValueError as err:
         raise ValueError(f"{trace_path}: line 2: {err}") from None
     records = []
@@ -173,25 +209,36 @@ def read_trace(directory) -> Trace:
         inter_row, post_row = rows.pop(), rows.pop()
         if inter_row[:2] != [str(t), "inter"] or post_row[:2] != [str(t), "post"]:
             raise ValueError(f"{trace_path}: line {2 * t + 1}: malformed step {t} rows")
+        where = f"step {t}"
         try:
-            inter = state_of(inter_row)
+            scaled, den = _scaled_row(inter_row[4 : 4 + n], previous.den)
+            inter = CupState._wrap(scaled, den)
+            scale = den // previous.den
             fill = FillMove(
                 {
-                    cup: inter.fill_of(cup) - previous.fill_of(cup)
-                    for cup in range(1, n + 1)
+                    cup: rat(now - before * scale, den)
+                    for cup, (now, before) in enumerate(zip(scaled, previous.scaled), 1)
+                    if now != before * scale
                 }
             )
-            selected = tuple(int(cup) for cup in post_row[2].split())
+            try:
+                selected = tuple(int(cup) for cup in post_row[2].split())
+            except ValueError:
+                where = f"{trace_path}: line {2 * t + 2}: step {t}"
+                raise ValueError(f"malformed selection {post_row[2]!r}") from None
             empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
             problems = validate_fill(fill, config, previous)
             problems += validate_empty(empty, config)
             if problems:
                 raise ValueError("; ".join(problems))
             post, removed = apply_empty(inter, empty)
-            if post != state_of(post_row):
+            scaled, den = _scaled_row(post_row[4 : 4 + n], den)
+            if den != post.den:  # the row's text needs a larger denominator
+                post = CupState._wrap(tuple(x * (den // post.den) for x in post.scaled), den)
+            if post.scaled != scaled:
                 raise ValueError("post row is not the replay of the selection")
         except ValueError as err:
-            raise ValueError(f"step {t}: {err}") from None
+            raise ValueError(f"{where}: {err}") from None
         records.append(
             StepRecord(
                 t=t, fill=fill, intermediate=inter, empty=empty,
@@ -199,7 +246,18 @@ def read_trace(directory) -> Trace:
             )
         )
         previous = post
-    return Trace(config=config, initial=initial, records=records, violation=violation)
+    trace = Trace(config=config, initial=initial, records=records, violation=violation)
+    if steps_executed != trace.steps_executed:
+        raise ValueError(
+            f"{summary_path}: steps_executed is {steps_executed}, "
+            f"but {trace_path} replays {trace.steps_executed} steps"
+        )
+    if max_backlog != trace.max_backlog():
+        raise ValueError(
+            f"{summary_path}: max_backlog is {format_rat(max_backlog)}, "
+            f"but the replay of {trace_path} reaches {format_rat(trace.max_backlog())}"
+        )
+    return trace
 
 
 # ---------------------------------------------------------------------------

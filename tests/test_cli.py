@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cupgame
 from cupgame.cli import main
 from cupgame.rational import parse_rat, rat
 from cupgame.traceio import write_trace
@@ -315,3 +320,20 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_python_dash_m_cupgame_runs_the_cli(tmp_path):
+    # the package's own source root, so the test needs no installed cupgame
+    paths = [str(Path(cupgame.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = [sys.executable, "-m", "cupgame", "run", "--n", "4", "--p", "1", "--steps", "5",
+            "--filler", "harmonic", "--out", str(tmp_path / "game")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ran 5/5 steps")
+    check = subprocess.run(
+        [sys.executable, "-m", "cupgame", "check", str(tmp_path / "game")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert check.returncode == 0, check.stderr
+    assert "cup-reset: PASS" in check.stdout

@@ -26,7 +26,6 @@ from cupgame.invariants import (
     check_record_constraints,
     check_truncated_invariant,
     check_working_set,
-    level_fill,
     level_series,
     max_level,
     record_setting_steps,
@@ -41,16 +40,6 @@ from conftest import ScriptFiller, forge, play
 
 # ---------------------------------------------------------------------------
 # level machinery
-
-
-def test_level_fill_subtracts_two_per_level():
-    assert level_fill(rat(23, 10), 1) == rat(23, 10)
-    assert level_fill(rat(23, 10), 2) == rat(3, 10)
-    assert level_fill(rat(39, 10), 2) == rat(19, 10)
-    assert level_fill(rat(6, 5), 2) == 0
-    assert level_fill(rat(7), 3) == 3
-    with pytest.raises(ValueError):
-        level_fill(rat(1), 0)
 
 
 def test_level_series_hand_values():

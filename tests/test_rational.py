@@ -11,7 +11,6 @@ from cupgame.rational import (
     as_rat,
     floor_rat,
     format_rat,
-    is_integral,
     parse_rat,
     rat,
     to_decimal,
@@ -63,8 +62,6 @@ class TestHelpers:
         assert floor_rat(rat(7, 2)) == 3
         assert floor_rat(rat(-1, 2)) == -1
         assert rat(7, 2) - floor_rat(rat(7, 2)) == rat(1, 2)
-        assert is_integral(rat(4, 2))
-        assert not is_integral(rat(1, 3))
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
     def test_floor_frac_decompose(self, num, den):

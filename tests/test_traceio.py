@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cupgame.engine import ConfigError, GameConfig, run_game
 from cupgame.rational import rat
@@ -14,6 +17,8 @@ from cupgame.traceio import (
     summarize,
     write_trace,
 )
+
+from conftest import ScriptFiller
 
 
 def sample_trace(seed=5, emptier="smoothed-greedy"):
@@ -237,3 +242,95 @@ def test_read_locates_a_bad_first_row(tmp_path, cell, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"trace\.csv: line 2: {message}"):
         read_trace(tmp_path)
+
+
+def test_read_rejects_a_trace_cut_at_a_step_boundary(tmp_path):
+    config = GameConfig(n=6, p=2, steps=50, seed=3, filler="random:1/2", emptier="greedy")
+    write_trace(run_game(config), tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: 2 + 2 * 10]) + "\n")  # header, t=0, steps 1..10
+    with pytest.raises(
+        ValueError, match=r"summary\.json: steps_executed is 50, but .*trace\.csv replays 10 steps"
+    ):
+        read_trace(tmp_path)
+
+
+def test_read_rejects_a_max_backlog_the_replay_does_not_reach(tmp_path):
+    trace = sample_trace()
+    write_trace(trace, tmp_path)
+    path = tmp_path / "summary.json"
+    summary = json.loads(path.read_text())
+    summary["max_backlog"]["exact"] = "99/1"
+    path.write_text(json.dumps(summary))
+    with pytest.raises(ValueError, match=r"summary\.json: max_backlog is 99/1, but the replay"):
+        read_trace(tmp_path)
+
+
+def test_read_names_a_malformed_selection(tmp_path):
+    write_trace(sample_trace(), tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")  # step 1's post row, file line 4
+    row[2] = "x"
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"trace\.csv: line 4: step 1: malformed selection 'x'$"):
+        read_trace(tmp_path)
+
+
+@pytest.mark.parametrize("stage", ["inter", "post"])
+def test_read_accepts_cells_not_in_lowest_terms(tmp_path, stage):
+    trace = sample_trace()
+    write_trace(trace, tmp_path)
+    path = tmp_path / "trace.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    # past the header and t=0, the first nonzero cup of a row of the stage
+    row, cup = next(
+        (row, at)
+        for row in rows[2:]
+        if row[1] == stage
+        for at in range(4, 9)
+        if not row[at].startswith("0/")
+    )
+    num, den = row[cup].split("/")
+    row[cup] = f"{int(num) * 11}/{int(den) * 11}"  # no other cell has an 11
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert read_trace(tmp_path).records == trace.records
+
+
+# deposits whose denominators (2, 3, 4, 6) need the carried den once a cup drains
+SMALL_AMOUNTS = st.sampled_from([rat(a, b) for b in (2, 3, 4, 6) for a in range(1, b + 1)])
+
+
+@st.composite
+def games(draw):
+    kind = draw(st.sampled_from(["greedy", "smoothed-greedy", "scripted"]))
+    seed = draw(st.integers(0, 2**16))
+    steps = draw(st.integers(0, 30))
+    if kind != "scripted":
+        n = draw(st.integers(1, 8))
+        p = draw(st.integers(1, n))
+        config = GameConfig(n=n, p=p, steps=steps, seed=seed, filler="random:1/2", emptier=kind)
+        return run_game(config)
+    # greedy drains the 1/6 of step 1 at once, so the next rows' own lcm is 1
+    moves = [{1: rat(1, 6)}]
+    for _ in range(steps):
+        cup = draw(st.integers(1, 3))
+        moves.append({cup: draw(SMALL_AMOUNTS)})
+    config = GameConfig(n=3, p=1, steps=len(moves) + 2, emptier="greedy")
+    return run_game(config, filler=ScriptFiller(moves))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=games())
+def test_round_trip_replays_every_record_and_rewrites_the_same_bytes(trace):
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        write_trace(trace, first)
+        back = read_trace(first)
+        assert back.config == trace.config
+        assert back.initial == trace.initial
+        assert back.records == trace.records  # states, moves, selections, removed
+        write_trace(back, second)
+        for name in ("trace.csv", "summary.json"):
+            assert (Path(first) / name).read_bytes() == (Path(second) / name).read_bytes()
