@@ -7,10 +7,13 @@ water from each, producing S_t.  Removal from one cup is min(1, fill) under
 the plain policy, or exactly 1-if-fill>=1-else-nothing under the
 skip-under-one policy carried by the move.
 
-A step's states inherit the previous state's int denominator (state.py):
-apply_fill raises it to an lcm, rescaling each cup once, only when a
-deposit's denominator does not divide it; apply_empty, removing 1 or a
-whole fill, keeps it.
+A fill move holds ints over a denominator of its own; the stock fillers
+and the public constructor use the lcm of the deposits' denominators in
+lowest terms (fillers.py says how each filler gets it).  A step's states
+inherit the previous state's int denominator (state.py): apply_fill raises
+it to an lcm with the move's, rescaling each cup once, only when the move's
+does not divide it; apply_empty, removing 1 or a whole fill, keeps it.
+Validating and applying a move read only ints.
 
 Strategies never mutate states.  If a strategy emits an illegal move the run
 aborts and the trace carries a structured violation report instead of
@@ -67,11 +70,17 @@ class GameConfig:
             object.__setattr__(self, "truncation", truncation)
 
 
-@dataclass(frozen=True)
 class FillMove:
-    """Sparse deposits, canonicalized: sorted by cup id, zero amounts dropped."""
+    """Sparse deposits as ints over one denominator, sorted by cup id.
 
-    amounts: tuple
+    `scaled` holds (cup, deposit * den) pairs, zero deposits dropped.  The
+    public constructor takes rationals and sets `den` to the lcm of their
+    denominators; the stock fillers build the int form directly (_wrap).
+    Equality and hashing go by value, through the rational `amounts`, which
+    are built on first use.
+    """
+
+    __slots__ = ("scaled", "den", "_amounts")
 
     def __init__(self, amounts):
         if hasattr(amounts, "items"):
@@ -86,7 +95,37 @@ class FillMove:
             if amount != 0:
                 cleaned.append((cup, amount))
         cleaned.sort()
-        object.__setattr__(self, "amounts", tuple(cleaned))
+        self.den = den = lcm(*(amount.denominator for _, amount in cleaned))
+        self.scaled = tuple(
+            (cup, amount.numerator * (den // amount.denominator)) for cup, amount in cleaned
+        )
+        self._amounts = tuple(cleaned)
+
+    @classmethod
+    def _wrap(cls, scaled: tuple, den: int) -> "FillMove":
+        # fillers and replay only: scaled must already be sorted by cup, with
+        # distinct cups and nonzero ints over den
+        move = object.__new__(cls)
+        move.scaled = scaled
+        move.den = den
+        move._amounts = None
+        return move
+
+    @property
+    def amounts(self) -> tuple:
+        """The exact rational deposits, as sorted (cup, amount) pairs."""
+        if self._amounts is None:
+            self._amounts = tuple((cup, rat(deposit, self.den)) for cup, deposit in self.scaled)
+        return self._amounts
+
+    def __eq__(self, other):
+        return isinstance(other, FillMove) and self.amounts == other.amounts
+
+    def __hash__(self):
+        return hash(self.amounts)
+
+    def __repr__(self):
+        return f"FillMove(amounts={self.amounts!r})"
 
 
 @dataclass(frozen=True)
@@ -132,6 +171,7 @@ class Trace:
     violation: Violation | None = None
     _backlogs: list = field(default=None, repr=False, compare=False)
     _avs: list = field(default=None, repr=False, compare=False)
+    _max_backlog: object = field(default=None, repr=False, compare=False)
 
     @property
     def steps_executed(self) -> int:
@@ -147,7 +187,15 @@ class Trace:
         return self._backlogs
 
     def max_backlog(self):
-        return max(self.backlog_series())
+        """Largest backlog of any post state, compared as ints across dens."""
+        if self._max_backlog is None:
+            top, den = 0, 1
+            for state in self.states():
+                fill = max(state.scaled)
+                if fill * den > top * state.den:
+                    top, den = fill, state.den
+            self._max_backlog = rat(top, den)
+        return self._max_backlog
 
     def av_series(self):
         """av_p(S_t) for t = 0..T."""
@@ -160,38 +208,32 @@ class Trace:
         return max(self.av_series())
 
 
-def _move_den(den: int, move: FillMove) -> int:
-    """The smallest multiple of den that every deposit's denominator divides."""
-    for _, amount in move.amounts:
-        if den % amount.denominator:
-            den = lcm(den, amount.denominator)
-    return den
-
-
 def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[str]:
     """Reasons the move is illegal on state; empty list means legal."""
     problems = []
-    den = _move_den(state.den, move)
-    scale = den // state.den
+    den = move.den
     cap = config.truncation
+    if cap is not None:  # compare fills and deposits over a common denominator
+        common = state.den if state.den % den == 0 else lcm(state.den, den)
+        fill_scale, deposit_scale = common // state.den, common // den
+        limit = cap.numerator * common
     total = 0
-    for cup, amount in move.amounts:
+    for cup, deposit in move.scaled:
         if not 1 <= cup <= config.n:
             problems.append(f"cup id {cup} outside 1..{config.n}")
             continue
-        if amount.numerator < 0:
-            problems.append(f"negative deposit {amount} into cup {cup}")
+        if deposit < 0:
+            problems.append(f"negative deposit {rat(deposit, den)} into cup {cup}")
             continue
-        if amount.numerator > amount.denominator:
-            problems.append(f"deposit {amount} into cup {cup} exceeds 1")
-        deposit = amount.numerator * (den // amount.denominator)
+        if deposit > den:
+            problems.append(f"deposit {rat(deposit, den)} into cup {cup} exceeds 1")
         if (
             cap is not None
-            and (state.scaled[cup - 1] * scale + deposit) * cap.denominator
-            > cap.numerator * den
+            and (state.scaled[cup - 1] * fill_scale + deposit * deposit_scale)
+            * cap.denominator > limit
         ):
             problems.append(
-                f"deposit {amount} into cup {cup} breaches truncation "
+                f"deposit {rat(deposit, den)} into cup {cup} breaches truncation "
                 f"{config.truncation}"
             )
         total += deposit
@@ -202,11 +244,16 @@ def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[s
 
 def apply_fill(state: CupState, move: FillMove) -> CupState:
     """Deposit the move into the state; the caller validates legality."""
-    den = _move_den(state.den, move)
-    scale = den // state.den
-    scaled = [fill * scale for fill in state.scaled] if scale > 1 else list(state.scaled)
-    for cup, amount in move.amounts:
-        scaled[cup - 1] += amount.numerator * (den // amount.denominator)
+    den = state.den
+    if den % move.den:
+        den = lcm(den, move.den)
+        rescale = den // state.den
+        scaled = [fill * rescale for fill in state.scaled]
+    else:
+        scaled = list(state.scaled)
+    scale = den // move.den
+    for cup, deposit in move.scaled:
+        scaled[cup - 1] += deposit * scale
     return CupState._wrap(tuple(scaled), den)
 
 

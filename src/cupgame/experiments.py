@@ -122,8 +122,9 @@ def run_lower_bound(n: int, p: int, *, emptier: str = "greedy",
     config = GameConfig(
         n=n, p=p, steps=budget, seed=seed, filler="growth", emptier=emptier
     )
+    top, bottom = threshold.numerator, threshold.denominator
     trace = run_game(
-        config, stop_when=lambda t, state: state.backlog() >= threshold
+        config, stop_when=lambda t, state: max(state.scaled) * bottom >= top * state.den
     )
     reached = trace.max_backlog() >= threshold
     return LowerBoundResult(

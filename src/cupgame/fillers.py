@@ -34,6 +34,13 @@ zero          deposits nothing.
 
 Spec strings: "harmonic", "growth", "anchor-swap:P,R,L",
 "anti-greedy:ELL,C,PHASES", "random:DENSITY", "zero".
+
+Every move is built as ints over the lcm of its deposits' denominators in
+lowest terms (engine.FillMove), so equal moves carry equal ints.  Both kernels
+move over |U| (or |B|): an anchor gets |U|, a target 1.  random keeps its
+budget and amounts over 840 = lcm(1..8), raised to an lcm with the state's
+and the cap's denominators only when a truncation cap is set, and divides
+out the amounts' common factor with one gcd at the end.
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ from __future__ import annotations
 import math
 
 from .engine import ConfigError, FillMove, GameConfig
-from .rational import ONE, as_rat, floor_rat, parse_rat, rat
+from .rational import as_rat, floor_rat, parse_rat, rat
+
+AMOUNT_DEN = 840  # lcm(1..8): every amount the random filler draws is k/840
 
 
 class ZeroFiller:
@@ -85,21 +94,31 @@ class RandomFiller:
         getrandbits = self.rng.getrandbits
         count = _uniform_below(getrandbits, self.max_support + 1)
         support = self.rng.sample(range(1, self.config.n + 1), count)
-        budget = as_rat(self.config.p)
-        amounts = {}
+        cap = self.config.truncation
+        den = AMOUNT_DEN
+        if cap is not None:  # headroom is cap minus fill over their common den
+            state = view.state
+            den = math.lcm(den, state.den, cap.denominator)
+            fill_scale = den // state.den
+            limit = cap.numerator * (den // cap.denominator)
+        budget = self.config.p * den
+        pairs = []
         for cup in support:
-            den = 1 + _uniform_below(getrandbits, 8)
-            amount = rat(_uniform_below(getrandbits, den + 1), den)
+            draw = 1 + _uniform_below(getrandbits, 8)
+            amount = _uniform_below(getrandbits, draw + 1) * (den // draw)
             if amount > budget:
                 amount = budget
-            if self.config.truncation is not None:
-                headroom = self.config.truncation - view.state.fill_of(cup)
+            if cap is not None:
+                headroom = limit - state.scaled[cup - 1] * fill_scale
                 if amount > headroom:
                     amount = headroom
             if amount > 0:
-                amounts[cup] = amount
+                pairs.append((cup, amount))
                 budget -= amount
-        return FillMove(amounts)
+        pairs.sort()
+        common = math.gcd(den, *(amount for _, amount in pairs))
+        return FillMove._wrap(tuple((cup, amount // common) for cup, amount in pairs),
+                              den // common)
 
 
 class ShrinkingPassFiller:
@@ -135,11 +154,11 @@ class ShrinkingPassFiller:
         if len(self.unemptied) < 2:
             self.unemptied = list(self.targets)
             self.passes += 1
-        share = rat(1, len(self.unemptied))
-        amounts = {cup: ONE for cup in self.anchors}
-        for cup in self.unemptied:
-            amounts[cup] = share
-        return FillMove(amounts)
+        size = len(self.unemptied)
+        # anchors precede the targets and unemptied keeps id order: sorted
+        scaled = [(cup, size) for cup in self.anchors]
+        scaled.extend((cup, 1) for cup in self.unemptied)
+        return FillMove._wrap(tuple(scaled), size)
 
 
 class SpreadShrinkFiller:
@@ -241,16 +260,17 @@ class SpreadShrinkFiller:
     def next_move(self, t, view) -> FillMove:
         if self._step >= self.round_steps:  # previous round complete, or first call
             self._begin_round()
-        share = rat(1, len(self._working))
-        amounts = {cup: ONE for cup in self.anchors}
-        for cup in self._working:
-            amounts[cup] = share
+        size = len(self._working)
+        scaled = [(cup, size) for cup in self.anchors]
+        scaled.extend((cup, 1) for cup in self._working)
+        scaled.sort()  # a swapped-in anchor may sit above working cups
+        move = FillMove._wrap(tuple(scaled), size)
         victim = self._working[self.rng.randrange(len(self._working))]
         self._working.remove(victim)
         self._step += 1
         if self._step >= self.round_steps:
             self._end_round()
-        return FillMove(amounts)
+        return move
 
 
 def _parse_params(params: str):

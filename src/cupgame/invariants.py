@@ -352,12 +352,12 @@ def _deposits(trace: Trace):
     cache = _level_cache.setdefault(trace, {})
     if "deposits" not in cache:
         dens = {state.den for state in trace.states()}
-        dens.update(a.denominator for record in trace.records for _, a in record.fill.amounts)
+        dens.update(record.fill.den for record in trace.records)
         den = math.lcm(*dens)
-        deposits = [
-            [(cup, a.numerator * (den // a.denominator)) for cup, a in record.fill.amounts]
-            for record in trace.records
-        ]
+        deposits = []
+        for record in trace.records:
+            scale = den // record.fill.den
+            deposits.append([(cup, amount * scale) for cup, amount in record.fill.scaled])
         cache["deposits"] = den, deposits
     return cache["deposits"]
 

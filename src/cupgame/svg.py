@@ -25,7 +25,7 @@ def _y_pixel(value, ymax: int) -> int:
 def backlog_svg(trace) -> str:
     series = trace.backlog_series()
     last = len(series) - 1
-    ymax = max(1, floor_rat(max(series)) + 1)
+    ymax = max(1, floor_rat(trace.max_backlog()) + 1)
     points = []
     for t, value in enumerate(series):
         x = MARGIN + (t * PLOT_W) // max(last, 1)

@@ -163,8 +163,8 @@ def read_trace(directory) -> Trace:
     as many steps, and reach the same max backlog, as summary.json says.
 
     Rows are read as ints over one denominator, carried forward as an lcm as
-    the engine's is, so a cup that drains never shrinks it; a rational is
-    built only for a deposit.
+    the engine's is, so a cup that drains never shrinks it; each replayed
+    move holds its deposits as ints over the intermediate row's.
     """
     directory = Path(directory)
     summary_path = directory / SUMMARY_NAME
@@ -214,12 +214,13 @@ def read_trace(directory) -> Trace:
             scaled, den = _scaled_row(inter_row[4 : 4 + n], previous.den)
             inter = CupState._wrap(scaled, den)
             scale = den // previous.den
-            fill = FillMove(
-                {
-                    cup: rat(now - before * scale, den)
+            fill = FillMove._wrap(
+                tuple(
+                    (cup, now - before * scale)
                     for cup, (now, before) in enumerate(zip(scaled, previous.scaled), 1)
                     if now != before * scale
-                }
+                ),
+                den,
             )
             try:
                 selected = tuple(int(cup) for cup in post_row[2].split())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ConstantFiller, ScriptFiller, moves_of, play
+from conftest import ConstantFiller, ScriptFiller, forge, moves_of, play
 from cupgame.engine import (
     ConfigError,
     EmptyMove,
@@ -27,6 +27,17 @@ class TestMoves:
     def test_fill_move_canonical(self):
         move = FillMove({3: rat(1, 2), 1: 0, 2: rat(1, 3)})
         assert move.amounts == ((2, rat(1, 3)), (3, rat(1, 2)))
+
+    def test_fill_move_equality_ignores_the_denominator(self):
+        # the same deposits as ints over 840 and as ints over 2
+        wide = FillMove._wrap(((1, 420), (3, 840)), 840)
+        narrow = FillMove({1: rat(1, 2), 3: 1})
+        assert narrow.den == 2 and narrow.scaled == ((1, 1), (3, 2))
+        assert wide == narrow and hash(wide) == hash(narrow)
+        assert wide.amounts == narrow.amounts
+        assert wide != FillMove({1: rat(1, 2), 3: rat(1, 2)})
+        state = CupState([rat(1, 3), 0, 0])
+        assert apply_fill(state, wide) == apply_fill(state, narrow)
 
     def test_fill_move_duplicate_rejected(self):
         with pytest.raises(ValueError):
@@ -276,3 +287,10 @@ class TestEngineProperties:
         recomputed = [state.backlog() for state in trace.states()]
         assert series == recomputed
         assert trace.max_backlog() == max(recomputed)
+
+    def test_max_backlog_compares_states_across_denominators(self):
+        # the fullest post state, 7/6, has neither the largest den nor the last
+        posts = [rat(9, 10), rat(7, 6), rat(1)]
+        trace = forge(2, 1, "greedy", [({}, [fill, 0], [], [fill, 0]) for fill in posts])
+        assert [state.den for state in trace.states()] == [1, 10, 6, 1]
+        assert trace.max_backlog() == rat(7, 6) == max(trace.backlog_series())

@@ -4,11 +4,14 @@ The reference below is the engine as it was when cup states held one
 Fraction per cup: validate_fill, apply_fill, the (-fill, id) ranking and
 apply_empty over plain tuples of Fractions.  reference_game plays a filler
 through it, handing the filler views whose states carry the reference
-fills, so both engines must agree move for move, state for state.
+fills, so both engines must agree move for move, state for state.  The
+stock fillers' int moves are also checked against the same moves built
+from their rationals.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,11 +24,14 @@ from cupgame.engine import (
     AdaptiveView,
     CupState,
     EmptyMove,
+    FillMove,
     GameConfig,
     ObliviousView,
     StepRecord,
     Violation,
+    apply_fill,
     run_game,
+    validate_fill,
 )
 from cupgame.fillers import make_filler
 from cupgame.rng import FILLER_LABEL, OFFSET_LABEL, stream
@@ -249,3 +255,47 @@ def test_engines_agree_on_random_games(game):
         lambda: make_filler(config.filler, config, stream(config.seed, FILLER_LABEL)),
     )
 
+
+STOCK_SPECS = (
+    # (filler, truncation, visibility)
+    ("random:1/2", None, ADAPTIVE),
+    ("random:1", None, OBLIVIOUS),
+    ("random:1", "3/2", ADAPTIVE),
+    ("random:1/2", "7/3", ADAPTIVE),
+    ("harmonic", None, ADAPTIVE),
+    ("growth", None, ADAPTIVE),
+    ("anchor-swap:2,3,2", None, OBLIVIOUS),
+    ("anti-greedy:4,1,3", None, OBLIVIOUS),
+)
+
+
+@pytest.mark.parametrize("emptier", EMPTIERS)
+@pytest.mark.parametrize("spec", STOCK_SPECS, ids=lambda spec: f"{spec[0]}-{spec[1]}")
+def test_stock_int_moves_match_their_rational_rebuild(spec, emptier):
+    """Each stock filler's int move equals FillMove(move.amounts): the same
+    value, hash, den and ints, the same verdicts and the same next state."""
+    filler, truncation, visibility = spec
+    verdicts = 0
+    for n, p, seed in ((7, 1, 0), (9, 3, 4), (10, 4, 9)):
+        config = GameConfig(n=n, p=p, steps=40, seed=seed, filler=filler, emptier=emptier,
+                            truncation=truncation, visibility=visibility)
+        trace = run_game(config)
+        assert trace.violation is None and trace.records
+        # a tighter budget and cap turn the same moves into violations
+        tight = replace(config, p=1, truncation=Fraction(11, 10))
+        state = trace.initial
+        for record in trace.records:
+            move = record.fill
+            rebuilt = FillMove(move.amounts)
+            assert move == rebuilt and hash(move) == hash(rebuilt)
+            assert (move.den, move.scaled) == (rebuilt.den, rebuilt.scaled)
+            for rules in (config, tight):
+                problems = validate_fill(move, rules, state)
+                assert problems == validate_fill(rebuilt, rules, state)
+                verdicts += len(problems)
+            after, after_rebuilt = apply_fill(state, move), apply_fill(state, rebuilt)
+            assert (after.scaled, after.den) == (after_rebuilt.scaled, after_rebuilt.den)
+            assert (after.scaled, after.den) == (record.intermediate.scaled,
+                                                 record.intermediate.den)
+            state = record.post
+    assert verdicts  # the tight rules did reject moves
