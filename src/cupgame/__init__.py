@@ -12,7 +12,7 @@ from .engine import (
 )
 from .invariants import InvariantReport, PreconditionError, run_checkers
 from .rational import format_rat, parse_rat, rat
-from .state import CupState, harmonic_number, harmonic_tail
+from .state import CupState, harmonic_number
 
 __all__ = [
     "ConfigError",
@@ -27,7 +27,6 @@ __all__ = [
     "Violation",
     "format_rat",
     "harmonic_number",
-    "harmonic_tail",
     "parse_rat",
     "rat",
     "run_checkers",

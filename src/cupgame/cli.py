@@ -12,6 +12,7 @@ error.  All file outputs are byte-deterministic for a given invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -248,6 +249,7 @@ def cmd_montecarlo(args) -> int:
 # parser
 
 
+@functools.cache  # built once: each parser is a reference cycle only gen 2 frees
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cupgame",

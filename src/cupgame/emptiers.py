@@ -5,9 +5,8 @@ smoothed-greedy   start every cup at an independent random offset in [0, 1),
                   select greedily, but remove water only from selected cups
                   holding at least 1 unit (exactly 1 unit each).  Selected
                   cups under 1 unit are skipped, not re-selected.
-threshold-blind   a deliberately bad emptier for exercising the greedy-like
-                  step predicate's false branch: it drains the single fullest
-                  cup and otherwise the emptiest ones.
+threshold-blind   a deliberately bad emptier that no lemma covers: it drains
+                  the single fullest cup and otherwise the emptiest ones.
 
 Spec strings: "greedy", "smoothed-greedy", "threshold-blind:L,C".
 """
@@ -41,8 +40,8 @@ class ThresholdBlindEmptier:
     """Drains the fullest cup plus the p-1 least-full cups.
 
     When two or more cups sit at or above its configured threshold, at most
-    one of them is drained, so the move fails the greedy-like predicate for
-    that threshold whenever the emptiest cups are far below it.
+    one of them is drained whenever the emptiest cups are far below it.  No
+    checker's lemma covers this emptier.
     """
 
     def __init__(self, ell, c):
@@ -63,29 +62,6 @@ class ThresholdBlindEmptier:
             return EmptyMove(range(1, state.n + 1))
         ranked = state.top_cups(state.n)
         return EmptyMove(ranked[:1] + ranked[state.n - (p - 1):])
-
-
-def is_greedy_like_step(intermediate: CupState, removed, ell, c) -> bool:
-    """Whether one emptier move behaved greedily at threshold ell.
-
-    True iff fewer than 2 cups of the intermediate state hold >= ell, or the
-    move removed water from >= 2 cups whose intermediate fill was >= ell/c.
-    removed is the step's (cup, amount) pairs with amount > 0.
-    """
-    ell = as_rat(ell)
-    c = as_rat(c)
-    if ell <= 0:
-        raise ValueError(f"threshold must be > 0, got {ell}")
-    if c < 1:
-        raise ValueError(f"constant c must be >= 1, got {c}")
-    at_threshold = sum(1 for fill in intermediate.fills if fill >= ell)
-    if at_threshold < 2:
-        return True
-    lowered = ell / c
-    drained_high = sum(
-        1 for cup, _ in removed if intermediate.fill_of(cup) >= lowered
-    )
-    return drained_high >= 2
 
 
 def make_emptier(spec: str):

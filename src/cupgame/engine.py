@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .rational import ONE, as_rat, rat
+from .rational import as_rat, rat
 from .rng import FILLER_LABEL, OFFSET_LABEL, stream
 from .state import CupState
 
@@ -150,10 +150,7 @@ class StepRecord:
     intermediate: CupState
     empty: EmptyMove
     post: CupState
-    removed: tuple  # (cup, amount) pairs, sorted, only amounts > 0
-
-    def drained_cups(self) -> tuple[int, ...]:
-        return tuple(cup for cup, _ in self.removed)
+    drained: tuple[int, ...]  # sorted ids of the cups that lost water
 
 
 @dataclass(frozen=True)
@@ -268,37 +265,30 @@ def validate_empty(move: EmptyMove, config: GameConfig) -> list[str]:
 
 
 def apply_empty(state: CupState, move: EmptyMove):
-    """Apply removals; returns (new state, (cup, amount) pairs with amount > 0)."""
+    """Apply removals; returns (new state, sorted ids of the cups that lost water)."""
     den = state.den
     scaled = list(state.scaled)
-    removed = []
+    drained = []
     for cup in move.cups:
         fill = scaled[cup - 1]
         if fill >= den:
             scaled[cup - 1] = fill - den
-            removed.append((cup, ONE))
+            drained.append(cup)
         elif fill > 0 and not move.skip_under_one:
             scaled[cup - 1] = 0
-            removed.append((cup, rat(fill, den)))
-    return CupState._wrap(tuple(scaled), den), tuple(removed)
+            drained.append(cup)
+    return CupState._wrap(tuple(scaled), den), tuple(drained)
 
 
 @dataclass
 class AdaptiveView:
-    """Everything an adaptive filler may observe: the whole trace so far."""
+    """What an adaptive filler observes: the records so far and the state.
 
-    config: GameConfig
-    initial: CupState
+    An oblivious filler is handed None: it sees nothing the emptier does.
+    """
+
     records: list[StepRecord]
     state: CupState
-
-
-@dataclass
-class ObliviousView:
-    """An oblivious filler sees only its own prior moves (and its own RNG)."""
-
-    config: GameConfig
-    own_moves: list[FillMove]
 
 
 def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -> Trace:
@@ -324,16 +314,12 @@ def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -
     initial = CupState(offsets) if offsets is not None else CupState.zeros(config.n)
 
     records: list[StepRecord] = []
-    own_moves: list[FillMove] = []
     state = initial
     violation = None
-    oblivious = config.visibility == OBLIVIOUS
+    adaptive = config.visibility == ADAPTIVE
 
     for t in range(1, config.steps + 1):
-        if oblivious:
-            view = ObliviousView(config, own_moves)
-        else:
-            view = AdaptiveView(config, initial, records, state)
+        view = AdaptiveView(records, state) if adaptive else None
         move = filler.next_move(t, view)
         problems = validate_fill(move, config, state)
         if problems:
@@ -345,9 +331,8 @@ def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -
         if problems:
             violation = Violation(t, "emptier", tuple(problems))
             break
-        post, removed = apply_empty(intermediate, empty)
-        records.append(StepRecord(t, move, intermediate, empty, post, removed))
-        own_moves.append(move)
+        post, drained = apply_empty(intermediate, empty)
+        records.append(StepRecord(t, move, intermediate, empty, post, drained))
         state = post
         if stop_when is not None and stop_when(t, post):
             break

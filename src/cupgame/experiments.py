@@ -2,7 +2,7 @@
 
 Everything here is deterministic given its inputs.  Sweep rows are gathered
 and *then* sorted by (n, p, seed) so output order never depends on execution
-order, and all run loops derive per-run seeds by offsetting a base seed.
+order, and the seeded frequency runs play seeds 0, 1, ..., seeds - 1.
 """
 
 from __future__ import annotations
@@ -143,9 +143,8 @@ def run_lower_bound(n: int, p: int, *, emptier: str = "greedy",
 # seeded backlog frequency
 
 
-def backlog_frequency_experiment(base_config: GameConfig, seeds: int,
-                                 threshold, *, base_seed: int = 0) -> dict:
-    """Fraction of seeded runs whose max backlog reaches the threshold.
+def backlog_frequency_experiment(base_config: GameConfig, seeds: int, threshold) -> dict:
+    """Fraction of runs, seeds 0..seeds-1, whose max backlog reaches the threshold.
 
     threshold may be exact or a float cutoff (for logarithmic targets); the
     comparison is max_backlog >= threshold either way.
@@ -154,8 +153,8 @@ def backlog_frequency_experiment(base_config: GameConfig, seeds: int,
         raise ValueError(f"need at least 100 seeds for a usable estimate, got {seeds}")
     hits = 0
     best = None
-    for offset in range(seeds):
-        config = replace(base_config, seed=base_seed + offset)
+    for seed in range(seeds):
+        config = replace(base_config, seed=seed)
         trace = run_game(config)
         top = trace.max_backlog()
         if best is None or top > best:
@@ -176,25 +175,21 @@ def backlog_frequency_experiment(base_config: GameConfig, seeds: int,
 
 
 class _ScriptedCup:
-    """Oblivious filler: a fixed deposit sequence into one cup, then nothing."""
+    """Oblivious filler: a fixed deposit sequence into cup 1, one per step."""
 
     needs_adaptive = False
 
-    def __init__(self, amounts, cup: int):
-        self.amounts = [as_rat(amount) for amount in amounts]
-        self.cup = cup
+    def __init__(self, amounts):
+        self.amounts = amounts
 
     def next_move(self, t, view):
-        if t <= len(self.amounts):
-            return FillMove({self.cup: self.amounts[t - 1]})
-        return FillMove({})
+        return FillMove({1: self.amounts[t - 1]})
 
 
-def crossing_probability_experiment(deposits, seeds: int, *, n: int = 1,
-                                    cup: int = 1, base_seed: int = 0):
+def crossing_probability_experiment(deposits, seeds: int):
     """Fraction of offset draws in which the last scripted deposit crosses.
 
-    Replays the deposit script into one cup against the smoothed greedy
+    Replays the deposit script into a lone cup against the smoothed greedy
     emptier under `seeds` independent offset draws and reports how often the
     final deposit pushes the cup's fill past an integer.  Removals ahead of
     the final deposit are whole units, so the fill's fractional part stays
@@ -210,15 +205,15 @@ def crossing_probability_experiment(deposits, seeds: int, *, n: int = 1,
         if not 0 <= amount <= 1:
             raise ValueError(f"scripted deposits must lie in [0, 1], got {amount}")
     hits = 0
-    for seed in range(base_seed, base_seed + seeds):
+    for seed in range(seeds):
         config = GameConfig(
-            n=n, p=1, steps=len(deposits), seed=seed, emptier="smoothed-greedy"
+            n=1, p=1, steps=len(deposits), seed=seed, emptier="smoothed-greedy"
         )
-        trace = run_game(config, filler=_ScriptedCup(deposits, cup))
+        trace = run_game(config, filler=_ScriptedCup(deposits))
         last = trace.records[-1]
         before = (
             trace.records[-2].post if len(trace.records) > 1 else trace.initial
-        ).fill_of(cup)
-        if floor_rat(last.intermediate.fill_of(cup)) > floor_rat(before):
+        ).fill_of(1)
+        if floor_rat(last.intermediate.fill_of(1)) > floor_rat(before):
             hits += 1
     return rat(hits, seeds)

@@ -83,7 +83,6 @@ class RandomFiller:
             raise ConfigError(f"random filler density must be in [0, 1], got {density}")
         self.config = config
         self.rng = rng
-        self.density = density
         self.max_support = floor_rat(density * config.n)
         # clamping against the truncation cap reads current fills
         self.needs_adaptive = config.truncation is not None
@@ -144,7 +143,7 @@ class ShrinkingPassFiller:
         if view.records:
             record = view.records[-1]
             first = self.targets[0]
-            drained = {cup for cup in record.drained_cups() if cup >= first}
+            drained = {cup for cup in record.drained if cup >= first}
             if len(drained) >= 2 and self.anchors:
                 self.growth_steps.append(record.t)
                 self.unemptied = list(self.targets)

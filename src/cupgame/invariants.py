@@ -110,7 +110,7 @@ def _require(trace: Trace, check: str):
 
 
 def _tail_bounds(n: int, last: int) -> list:
-    """[None] then k * harmonic_tail(k, n) for k = 1..last, in O(n).
+    """[None] then k * (1 + sum_{j=k+1}^n 1/j) for k = 1..last, in O(n).
 
     One backward pass accumulates the suffix sums 1 + sum_{j=k+1}^n 1/j.
     """
@@ -124,7 +124,7 @@ def _tail_bounds(n: int, last: int) -> list:
 
 
 def _tail_scan(trace, name, params, skip, charged, value_key) -> InvariantReport:
-    """Charged top-(skip + k) mass against k * harmonic_tail(k, n), all k, t.
+    """Charged top-(skip + k) mass against k * (1 + sum_{j=k+1}^n 1/j), all k, t.
 
     One walk down each state's ranking: the running mass of the skip + k
     fullest cups, less the charge, must not exceed the k-th tail bound.
@@ -400,7 +400,7 @@ def check_level_conservation(trace: Trace, level: int) -> InvariantReport:
     for t, record in enumerate(trace.records, start=1):
         inter = record.intermediate
         full = 2 * level * inter.den  # level fill >= 2 iff fill >= 2 * level
-        drains = sum(1 for cup, _ in record.removed if inter.scaled[cup - 1] >= full)
+        drains = sum(1 for cup in record.drained if inter.scaled[cup - 1] >= full)
         expected = stats.integer_fill[t - 1] + stats.crossings[t] - drains
         if stats.integer_fill[t] != expected:
             return InvariantReport(

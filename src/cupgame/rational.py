@@ -72,15 +72,15 @@ def parse_rat(text: str):
     raise ValueError(f"malformed rational: {text!r}")
 
 
-def to_decimal(value, significant: int = 15) -> str:
-    """Render value as a decimal string with the given significant digits.
+def to_decimal(value) -> str:
+    """Render value as a decimal string with 15 significant digits.
 
     Computed with the decimal module (never via float) so the rendering is
     exact, deterministic, and platform independent.
     """
     value = as_rat(value)
     with decimal.localcontext() as ctx:
-        ctx.prec = significant
+        ctx.prec = 15
         return str(decimal.Decimal(value.numerator) / value.denominator)
 
 

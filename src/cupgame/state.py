@@ -79,15 +79,11 @@ class CupState:
             self._ranked = [index + 1 for index in ranked]
         return self._ranked
 
-    def rank_cup(self, rank: int) -> int:
-        """Cup id holding the given rank (1 = fullest)."""
+    def rank_fill(self, rank: int):
+        """Fill of the rank-th fullest cup (rank 1 = fullest)."""
         if not 1 <= rank <= self.n:
             raise ValueError(f"rank {rank} outside 1..{self.n}")
-        return self._rank_order()[rank - 1]
-
-    def rank_fill(self, rank: int):
-        """Fill of the rank-th fullest cup."""
-        return self.fill_of(self.rank_cup(rank))
+        return self.fill_of(self._rank_order()[rank - 1])
 
     def top_cups(self, k: int) -> tuple[int, ...]:
         """The k fullest cup ids in rank order (ties toward smaller id)."""
@@ -143,10 +139,3 @@ def harmonic_number(m: int):
     for j in range(1, m + 1):
         total += rat(1, j)
     return total
-
-
-def harmonic_tail(k: int, n: int):
-    """1 + sum_{j=k+1}^n 1/j: the tail bound the skewed averages obey."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k {k} outside 1..{n}")
-    return 1 + harmonic_number(n) - harmonic_number(k)

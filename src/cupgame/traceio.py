@@ -160,7 +160,8 @@ def read_trace(directory) -> Trace:
     previous post) and the selection must be legal for the config, and the
     selection's removals must turn the intermediate row into the post row.
     Any breach raises ValueError naming the step.  The replay must also run
-    as many steps, and reach the same max backlog, as summary.json says.
+    as many steps, and reach the same max backlog, as summary.json says, and
+    a recorded violation must be an abort at the step after the last one.
 
     Rows are read as ints over one denominator, carried forward as an lcm as
     the engine's is, so a cup that drains never shrinks it; each replayed
@@ -232,7 +233,7 @@ def read_trace(directory) -> Trace:
             problems += validate_empty(empty, config)
             if problems:
                 raise ValueError("; ".join(problems))
-            post, removed = apply_empty(inter, empty)
+            post, drained = apply_empty(inter, empty)
             scaled, den = _scaled_row(post_row[4 : 4 + n], den)
             if den != post.den:  # the row's text needs a larger denominator
                 post = CupState._wrap(tuple(x * (den // post.den) for x in post.scaled), den)
@@ -243,7 +244,7 @@ def read_trace(directory) -> Trace:
         records.append(
             StepRecord(
                 t=t, fill=fill, intermediate=inter, empty=empty,
-                post=post, removed=removed,
+                post=post, drained=drained,
             )
         )
         previous = post
@@ -257,6 +258,17 @@ def read_trace(directory) -> Trace:
         raise ValueError(
             f"{summary_path}: max_backlog is {format_rat(max_backlog)}, "
             f"but the replay of {trace_path} reaches {format_rat(trace.max_backlog())}"
+        )
+    abort = trace.steps_executed + 1  # the only step a run can have aborted at
+    if violation is not None and not (
+        type(violation.step) is int and violation.step == abort <= config.steps
+        and violation.source in ("filler", "emptier")
+        and type(raw["reasons"]) is list
+        and all(type(reason) is str for reason in violation.reasons)
+    ):
+        raise ValueError(
+            f"{summary_path}: violation must be null or name step {abort}, source "
+            f"filler or emptier and a list of reasons, not {json.dumps(raw)}"
         )
     return trace
 

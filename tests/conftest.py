@@ -48,7 +48,8 @@ def play(n, p, steps, *, filler=None, emptier=None, seed=0, **kwargs):
 def forge(n, p, emptier, steps, *, initial=None, truncation=None):
     """Assemble a Trace from raw per-step tuples, no legality checks.
 
-    steps: list of (fill_amounts, inter_fills, removed_pairs, post_fills).
+    steps: list of (fill_amounts, inter_fills, removed_pairs, post_fills);
+    a record keeps only the cups of its (cup, amount) removed pairs.
     """
     config = GameConfig(
         n=n, p=p, steps=len(steps), emptier=emptier, truncation=truncation
@@ -56,15 +57,15 @@ def forge(n, p, emptier, steps, *, initial=None, truncation=None):
     start = CupState([rat(x) for x in initial]) if initial else CupState.zeros(n)
     records = []
     for t, (fills, inter, removed, post) in enumerate(steps, start=1):
-        removed = tuple(sorted((cup, rat(a)) for cup, a in removed))
+        drained = tuple(sorted(cup for cup, _ in removed))
         records.append(
             StepRecord(
                 t=t,
                 fill=FillMove({cup: rat(a) for cup, a in fills.items()}),
                 intermediate=CupState([rat(x) for x in inter]),
-                empty=EmptyMove([cup for cup, _ in removed]),
+                empty=EmptyMove(drained),
                 post=CupState([rat(x) for x in post]),
-                removed=removed,
+                drained=drained,
             )
         )
     return Trace(config=config, initial=start, records=records)

@@ -184,7 +184,7 @@ def ref_level_conservation(trace, level):
     for t, record in enumerate(trace.records, start=1):
         drains = sum(
             1
-            for cup, amount in record.removed
+            for cup in record.drained
             if ref_level_fill(record.intermediate.fill_of(cup), level) >= 2
         )
         expected = integer_fill[t - 1] + crossings[t] - drains

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cupgame
-from cupgame.cli import main
+from cupgame.cli import build_parser, main
 from cupgame.rational import parse_rat, rat
 from cupgame.traceio import write_trace
 
@@ -20,6 +20,10 @@ from test_invariants import forge
 
 def run_cli(*argv):
     return main([str(part) for part in argv])
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +223,29 @@ def test_check_summary_missing_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "summary.json" in err
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "violation",
+    [
+        {"step": 2, "source": "psychic", "reasons": ["made up"]},
+        {"step": "x", "source": 7, "reasons": "abc"},
+        {"step": 2, "source": "filler", "reasons": ["made up"]},  # mid-run
+        {"step": 6, "source": "emptier", "reasons": ["made up"]},  # after the last step
+        {"step": 6, "source": "filler", "reasons": [1]},
+    ],
+    ids=["psychic-source", "wrong-types", "mid-run", "past-the-end", "reason-not-text"],
+)
+def test_check_rejects_a_violation_the_replay_cannot_have(tmp_path, capsys, violation):
+    src = tmp_path / "game"
+    run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--filler", "random:1/2", "--out", src)
+    path = src / "summary.json"
+    summary = json.loads(path.read_text())
+    summary["violation"] = violation
+    path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    assert "summary.json" in capsys.readouterr().err
 
 
 def test_check_empty_trace_csv_exits_2(tmp_path, capsys):

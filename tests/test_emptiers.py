@@ -1,16 +1,14 @@
-"""Emptier selection rules and the greedy-like step predicate."""
+"""Emptier selection rules and removal policies."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantFiller, play
 from cupgame.emptiers import (
     GreedyEmptier,
     SmoothedGreedyEmptier,
     ThresholdBlindEmptier,
-    is_greedy_like_step,
     make_emptier,
 )
 from cupgame.engine import ConfigError, GameConfig, run_game
@@ -26,7 +24,7 @@ class TestGreedy:
 
     def test_plain_policy_drains_partial_fills(self):
         trace = play(2, 1, 1, filler=ConstantFiller({1: rat(1, 2)}))
-        assert trace.records[0].removed == ((1, rat(1, 2)),)
+        assert trace.records[0].drained == (1,)
         assert trace.records[0].post.backlog() == 0
 
 
@@ -79,55 +77,6 @@ class TestThresholdBlind:
             ThresholdBlindEmptier(0, 2)
         with pytest.raises(ConfigError):
             ThresholdBlindEmptier(4, rat(1, 2))
-
-
-class TestGreedyLikePredicate:
-    def test_fewer_than_two_at_threshold_is_vacuous(self):
-        state = CupState([5, 1, 0])
-        assert is_greedy_like_step(state, (), 4, 2)
-
-    def test_draining_two_high_cups_passes(self):
-        state = CupState([5, 5, 0])
-        removed = ((1, 1), (2, 1))
-        assert is_greedy_like_step(state, removed, 4, 1)
-
-    def test_ignoring_high_cups_fails(self):
-        state = CupState([5, 5, 0])
-        removed = ((3, rat(1, 2)),)
-        assert not is_greedy_like_step(state, removed, 4, 1)
-
-    def test_lowered_threshold_uses_ell_over_c(self):
-        state = CupState([5, 5, 3])
-        removed = ((1, 1), (3, 1))
-        assert not is_greedy_like_step(state, removed, 4, 1)
-        assert is_greedy_like_step(state, removed, 4, 2)
-
-    def test_parameter_validation(self):
-        state = CupState([1])
-        with pytest.raises(ValueError):
-            is_greedy_like_step(state, (), 0, 1)
-        with pytest.raises(ValueError):
-            is_greedy_like_step(state, (), 4, rat(1, 2))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.fractions(min_value=0, max_value=6, max_denominator=8),
-            min_size=2,
-            max_size=7,
-        ),
-        st.integers(1, 5),
-    )
-    def test_greedy_is_greedy_like_for_p_at_least_two(self, fills, ell):
-        state = CupState(fills)
-        p = min(2, state.n)
-        if p < 2:
-            return
-        move = GreedyEmptier().select(state, p)
-        from cupgame.engine import apply_empty
-
-        _, removed = apply_empty(state, move)
-        assert is_greedy_like_step(state, removed, ell, 1)
 
 
 class TestSpecStrings:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ConstantFiller, ScriptFiller, forge, moves_of, play
 from cupgame.engine import (
+    AdaptiveView,
     ConfigError,
     EmptyMove,
     FillMove,
@@ -19,8 +20,22 @@ from cupgame.engine import (
     validate_empty,
     validate_fill,
 )
+from cupgame.fillers import make_filler
 from cupgame.rational import rat
+from cupgame.rng import FILLER_LABEL, stream
 from cupgame.state import CupState
+
+
+def assert_removals(record):
+    """drained lists exactly the selected cups holding water to remove, and
+    each lost what its policy removes: 1 under skip-under-one, else min(1, fill)."""
+    skip = record.empty.skip_under_one
+    assert list(record.drained) == sorted(set(record.drained))
+    for cup in range(1, record.post.n + 1):
+        before, after = record.intermediate.fill_of(cup), record.post.fill_of(cup)
+        removable = cup in record.empty.cups and (before >= 1 if skip else before > 0)
+        assert (cup in record.drained) == removable
+        assert after == before - (min(1, before) if removable else 0)
 
 
 class TestMoves:
@@ -96,17 +111,17 @@ class TestApply:
 
     def test_plain_removal_takes_min_one_fill(self):
         state = CupState([rat(1, 2), rat(3, 2), 0])
-        after, removed = apply_empty(state, EmptyMove([1, 2, 3]))
+        after, drained = apply_empty(state, EmptyMove([1, 2, 3]))
         assert after.fills == (0, rat(1, 2), 0)
-        assert removed == ((1, rat(1, 2)), (2, 1))
+        assert drained == (1, 2)
 
     def test_skip_under_one_removal(self):
         state = CupState([rat(1, 2), rat(3, 2), 1])
-        after, removed = apply_empty(
+        after, drained = apply_empty(
             state, EmptyMove([1, 2, 3], skip_under_one=True)
         )
         assert after.fills == (rat(1, 2), rat(1, 2), 0)
-        assert removed == ((2, 1), (3, 1))
+        assert drained == (2, 3)
 
 
 class TestRunLoop:
@@ -164,10 +179,7 @@ class TestRunLoop:
         for record in trace.records:
             deposited = sum(amount for _, amount in record.fill.amounts)
             assert sum(record.intermediate.fills) == sum(state.fills) + deposited
-            removed_total = sum(
-                (amount for _, amount in record.removed), start=rat(0)
-            )
-            assert sum(record.post.fills) == sum(record.intermediate.fills) - removed_total
+            assert_removals(record)
             state = record.post
 
     def test_stop_when_ends_early(self):
@@ -217,12 +229,45 @@ class TestDeterminismAndVisibility:
             a.empty != b.empty for a, b in zip(greedy.records, blind.records)
         )
 
+    @pytest.mark.parametrize("visibility", ["adaptive", "oblivious"])
+    def test_filler_is_handed_records_and_state_or_nothing(self, visibility):
+        probe = _ProbeFiller(visibility == "adaptive")
+        config = GameConfig(n=4, p=2, steps=12, seed=3, emptier="smoothed-greedy",
+                            visibility=visibility)
+        trace = run_game(config, filler=probe)
+        assert probe.calls == 12
+        if visibility == "adaptive":
+            assert probe.states == trace.states()[:-1]
+
     def test_adaptive_filler_rejected_when_oblivious(self):
         config = GameConfig(
             n=4, p=1, steps=5, filler="harmonic", visibility="oblivious"
         )
         with pytest.raises(ConfigError):
             run_game(config)
+
+
+class _ProbeFiller:
+    """Checks the view it is handed: None when oblivious, else an
+    AdaptiveView holding nothing but the records so far and the state."""
+
+    needs_adaptive = False
+
+    def __init__(self, adaptive):
+        self.adaptive = adaptive
+        self.calls = 0
+        self.states = []
+
+    def next_move(self, t, view):
+        self.calls += 1
+        if not self.adaptive:
+            assert view is None
+        else:
+            assert type(view) is AdaptiveView
+            assert vars(view).keys() == {"records", "state"}
+            assert [record.t for record in view.records] == list(range(1, t))
+            self.states.append(view.state)
+        return FillMove({t % 4 + 1: rat(2, 3), (t + 1) % 4 + 1: rat(1, 2)})
 
 
 class TestConfigValidation:
@@ -272,10 +317,7 @@ class TestEngineProperties:
             assert all(fill >= 0 for fill in record.post.fills)
             deposited = sum(amount for _, amount in record.fill.amounts)
             assert sum(record.intermediate.fills) == sum(state.fills) + deposited
-            removed_total = sum(
-                (amount for _, amount in record.removed), start=rat(0)
-            )
-            assert sum(record.post.fills) == sum(record.intermediate.fills) - removed_total
+            assert_removals(record)
             assert len(record.empty.cups) <= config.p
             state = record.post
 
@@ -294,3 +336,27 @@ class TestEngineProperties:
         trace = forge(2, 1, "greedy", [({}, [fill, 0], [], [fill, 0]) for fill in posts])
         assert [state.den for state in trace.states()] == [1, 10, 6, 1]
         assert trace.max_backlog() == rat(7, 6) == max(trace.backlog_series())
+
+
+@pytest.mark.parametrize("spec", ["random:1/2", "harmonic", "growth"])
+def test_engine_steps_build_no_fraction(spec, monkeypatch):
+    """Against greedy, which drains partial fills, a 2T-step game builds as
+    many Fractions as a T-step game: the steps themselves build none."""
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for steps in (100, 200):
+        config = GameConfig(n=16, p=3, steps=steps, seed=5, filler=spec, emptier="greedy")
+        filler = make_filler(spec, config, stream(config.seed, FILLER_LABEL))
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        trace = run_game(config, filler=filler)
+        monkeypatch.undo()
+        assert trace.violation is None
+        counts.append(len(built))
+    assert counts[0] == counts[1]

@@ -26,7 +26,6 @@ from cupgame.engine import (
     EmptyMove,
     FillMove,
     GameConfig,
-    ObliviousView,
     StepRecord,
     Violation,
     apply_fill,
@@ -107,12 +106,12 @@ def reference_game(config, filler):
     )
     fills = tuple(offsets) if offsets is not None else (ZERO,) * config.n
     initial = CupState(fills)  # the filler reads these Fractions back as given
-    records, own_moves = [], []
+    records = []
     for t in range(1, config.steps + 1):
         if config.visibility == OBLIVIOUS:
-            view = ObliviousView(config, own_moves)
+            view = None
         else:
-            view = AdaptiveView(config, initial, records, CupState(fills))
+            view = AdaptiveView(records, CupState(fills))
         move = filler.next_move(t, view)
         problems = ref_validate_fill(move, config, fills)
         if problems:
@@ -120,8 +119,8 @@ def reference_game(config, filler):
         inter = ref_apply_fill(fills, move)
         empty = ref_select(config.emptier, inter, config.p)
         post, removed = ref_apply_empty(inter, empty)
-        records.append(StepRecord(t, move, CupState(inter), empty, CupState(post), removed))
-        own_moves.append(move)
+        drained = tuple(cup for cup, _ in removed)
+        records.append(StepRecord(t, move, CupState(inter), empty, CupState(post), drained))
         fills = post
     return initial.fills, records, None
 
@@ -145,7 +144,7 @@ def assert_engines_agree(config, make):
     for new, ref in zip(trace.records, records):
         assert_state_matches(new.intermediate, ref.intermediate.fills, config.p)
         assert new.empty == ref.empty
-        assert new.removed == ref.removed
+        assert new.drained == ref.drained
         assert_state_matches(new.post, ref.post.fills, config.p)
     assert len(trace.records) == len(records)
     assert trace.violation == violation

@@ -33,7 +33,6 @@ from cupgame.invariants import (
 )
 from cupgame.experiments import crossing_probability_experiment
 from cupgame.rational import rat
-from cupgame.state import harmonic_tail
 
 from conftest import ScriptFiller, forge, play
 
@@ -133,10 +132,18 @@ def test_truncated_tail_flags_forged_overflow():
     assert report.witness["k"] == 1
     # f^2_1 = (3 + 2) - 1*2 = 3 against tail bound 11/6
     assert report.witness["value"] == 3
-    assert report.witness["bound"] == harmonic_tail(1, 3)
+    assert report.witness["bound"] == rat(11, 6)
+
+
+def harmonic_tail(k, n):
+    """1 + sum_{j=k+1}^n 1/j, summed term by term."""
+    return 1 + sum((rat(1, j) for j in range(k + 1, n + 1)), rat(0))
 
 
 def test_tail_bounds_match_harmonic_tail():
+    assert [harmonic_tail(1, 3), harmonic_tail(2, 4), harmonic_tail(5, 5)] == [
+        rat(11, 6), rat(19, 12), 1
+    ]
     for n in range(1, 13):
         for last in (0, n // 2, n):
             bounds = _tail_bounds(n, last)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cupgame.rational import rat
-from cupgame.state import CupState, harmonic_number, harmonic_tail
+from cupgame.state import CupState, harmonic_number
 
 
 @st.composite
@@ -25,7 +25,7 @@ def cup_states(draw, max_n=9):
 class TestRankQueries:
     def test_ranks_with_tie_broken_by_id(self):
         state = CupState([rat(1, 2), 2, rat(1, 2), 1])
-        assert [state.rank_cup(i) for i in (1, 2, 3, 4)] == [2, 4, 1, 3]
+        assert state.top_cups(4) == (2, 4, 1, 3)
         assert state.rank_fill(1) == 2
         assert state.rank_fill(3) == rat(1, 2)
         assert state.backlog() == 2
@@ -46,16 +46,16 @@ class TestRankQueries:
     def test_rank_fills_nonincreasing(self, state):
         fills = [state.rank_fill(i) for i in range(1, state.n + 1)]
         assert all(a >= b for a, b in zip(fills, fills[1:]))
-        assert sorted(state.rank_cup(i) for i in range(1, state.n + 1)) == list(
-            range(1, state.n + 1)
-        )
+        assert sorted(state.top_cups(state.n)) == list(range(1, state.n + 1))
 
     @given(cup_states(), st.integers(0, 9))
     def test_top_cups_agrees_with_full_ranking(self, state, k):
         k = min(k, state.n)
-        assert state.top_cups(k) == tuple(
-            state.rank_cup(i) for i in range(1, k + 1)
-        )
+        top = state.top_cups(k)  # before the full ranking is cached
+        assert top == state.top_cups(state.n)[:k]
+        assert [state.fill_of(cup) for cup in top] == [
+            state.rank_fill(i) for i in range(1, k + 1)
+        ]
 
     @given(
         st.lists(
@@ -75,7 +75,7 @@ class TestRankQueries:
             assert state.prefix_stats(i)[0] == sum(
                 fills[j - 1] for j in reference[:i]
             )
-        assert [state.rank_cup(i) for i in range(1, n + 1)] == reference
+        assert state.top_cups(n) == tuple(reference)
         assert state.top_cups(k) == tuple(reference[:k])
 
 
@@ -99,26 +99,12 @@ class TestPrefixAndSubsetStats:
 
 
 class TestHarmonics:
-    def test_harmonic_tail_examples(self):
-        assert harmonic_tail(1, 3) == rat(11, 6)
-        assert harmonic_tail(2, 4) == rat(19, 12)
-        assert harmonic_tail(5, 5) == 1
-        with pytest.raises(ValueError):
-            harmonic_tail(0, 5)
-        with pytest.raises(ValueError):
-            harmonic_tail(6, 5)
-
     def test_harmonic_number(self):
         assert harmonic_number(0) == 0
         assert harmonic_number(1) == 1
         assert harmonic_number(4) == rat(25, 12)
         # the lower-bound target for n=8, p=1 play
         assert harmonic_number(8) - 1 == rat(481, 280)
-
-    def test_tail_and_number_consistent(self):
-        for n in range(1, 12):
-            for k in range(1, n + 1):
-                assert harmonic_tail(k, n) == 1 + harmonic_number(n) - harmonic_number(k)
 
 
 class TestStateBasics:

@@ -330,7 +330,7 @@ def test_round_trip_replays_every_record_and_rewrites_the_same_bytes(trace):
         back = read_trace(first)
         assert back.config == trace.config
         assert back.initial == trace.initial
-        assert back.records == trace.records  # states, moves, selections, removed
+        assert back.records == trace.records  # states, moves, selections, drained cups
         write_trace(back, second)
         for name in ("trace.csv", "summary.json"):
             assert (Path(first) / name).read_bytes() == (Path(second) / name).read_bytes()
