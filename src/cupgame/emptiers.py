@@ -8,13 +8,13 @@ smoothed-greedy   start every cup at an independent random offset in [0, 1),
 threshold-blind   a deliberately bad emptier that no lemma covers: it drains
                   the single fullest cup and otherwise the emptiest ones.
 
-Spec strings: "greedy", "smoothed-greedy", "threshold-blind:L,C".
+Spec strings: "greedy", "smoothed-greedy", "threshold-blind"; none takes
+parameters.
 """
 
 from __future__ import annotations
 
-from .engine import ConfigError, EmptyMove
-from .rational import as_rat, parse_rat
+from .engine import EmptyMove, parse_spec
 from .rng import dyadic_unit
 from .state import CupState
 
@@ -39,20 +39,9 @@ class SmoothedGreedyEmptier:
 class ThresholdBlindEmptier:
     """Drains the fullest cup plus the p-1 least-full cups.
 
-    When two or more cups sit at or above its configured threshold, at most
-    one of them is drained whenever the emptiest cups are far below it.  No
-    checker's lemma covers this emptier.
+    Of the cups fuller than the p-1 emptiest it drains only the fullest, so
+    water piles up in the runners-up.  No checker's lemma covers this emptier.
     """
-
-    def __init__(self, ell, c):
-        ell = as_rat(ell)
-        c = as_rat(c)
-        if ell <= 0:
-            raise ConfigError(f"threshold-blind needs L > 0, got {ell}")
-        if c < 1:
-            raise ConfigError(f"threshold-blind needs C >= 1, got {c}")
-        self.ell = ell
-        self.c = c
 
     def initial_fills(self, config, rng):
         return None
@@ -64,23 +53,13 @@ class ThresholdBlindEmptier:
         return EmptyMove(ranked[:1] + ranked[state.n - (p - 1):])
 
 
+_EMPTIERS = {
+    "greedy": GreedyEmptier,
+    "smoothed-greedy": SmoothedGreedyEmptier,
+    "threshold-blind": ThresholdBlindEmptier,
+}
+
+
 def make_emptier(spec: str):
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    if name == "greedy":
-        if params:
-            raise ConfigError("greedy takes no parameters")
-        return GreedyEmptier()
-    if name == "smoothed-greedy":
-        if params:
-            raise ConfigError("smoothed-greedy takes no parameters")
-        return SmoothedGreedyEmptier()
-    if name == "threshold-blind":
-        parts = [part.strip() for part in params.split(",")] if params else []
-        if len(parts) != 2:
-            raise ConfigError("threshold-blind needs exactly L,C parameters")
-        try:
-            return ThresholdBlindEmptier(parse_rat(parts[0]), parse_rat(parts[1]))
-        except ValueError as err:
-            raise ConfigError(f"bad threshold-blind parameters: {err}") from None
-    raise ConfigError(f"unknown emptier spec {spec!r}")
+    name, _ = parse_spec(spec, dict.fromkeys(_EMPTIERS, ()), "emptier")
+    return _EMPTIERS[name]()

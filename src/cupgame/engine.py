@@ -38,6 +38,26 @@ class ConfigError(ValueError):
     """Rejected configuration or strategy specification."""
 
 
+def parse_spec(spec: str, kinds: dict, what: str):
+    """Split a "name:a,b" strategy spec into its name and parsed parameters.
+
+    kinds maps each spec name to the parsers of its optional parameters, in
+    order; a spec may give fewer parameters than parsers, never more.
+    """
+    name, _, params = spec.partition(":")
+    name = name.strip()
+    if name not in kinds:
+        raise ConfigError(f"unknown {what} spec {spec!r}")
+    parsers = kinds[name]
+    parts = [part.strip() for part in params.split(",")] if params else []
+    if len(parts) > len(parsers):
+        raise ConfigError(f"{what} spec {spec!r} takes at most {len(parsers)} parameters")
+    try:
+        return name, [parse(part) for parse, part in zip(parsers, parts)]
+    except ValueError as err:
+        raise ConfigError(f"bad parameters in {what} spec {spec!r}: {err}") from None
+
+
 @dataclass(frozen=True)
 class GameConfig:
     n: int

@@ -32,8 +32,9 @@ random        legal fuzz moves: random support, random small-denominator
               one is configured, which needs adaptive visibility).
 zero          deposits nothing.
 
-Spec strings: "harmonic", "growth", "anchor-swap:P,R,L",
-"anti-greedy:ELL,C,PHASES", "random:DENSITY", "zero".
+Spec strings: "zero", "random:DENSITY", "harmonic", "growth",
+"anchor-swap:P,R,L", "anti-greedy:ELL,C,PHASES"; trailing parameters may be
+left off for their defaults (engine.parse_spec).
 
 Every move is built as ints over the lcm of its deposits' denominators in
 lowest terms (engine.FillMove), so equal moves carry equal ints.  Both kernels
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 
-from .engine import ConfigError, FillMove, GameConfig
+from .engine import ConfigError, FillMove, GameConfig, parse_spec
 from .rational import as_rat, floor_rat, parse_rat, rat
 
 AMOUNT_DEN = 840  # lcm(1..8): every amount the random filler draws is k/840
@@ -272,10 +273,6 @@ class SpreadShrinkFiller:
         return move
 
 
-def _parse_params(params: str):
-    return [part.strip() for part in params.split(",")] if params else []
-
-
 def _anchor_swap(config: GameConfig, rng, phases=None, rounds=None, steps=None):
     p = config.p
     if steps is None:
@@ -314,39 +311,31 @@ def _anti_greedy(config: GameConfig, rng, ell=8, c=rat(1, 2), phases=128):
     return filler
 
 
+# each spec name and the parsers of its optional parameters
+_FILLERS = {
+    "zero": (),
+    "random": (parse_rat,),
+    "harmonic": (),
+    "growth": (),
+    "anchor-swap": (int, int, int),
+    "anti-greedy": (int, parse_rat, int),
+}
+
+
 def make_filler(spec: str, config: GameConfig, rng):
-    name, _, params = spec.partition(":")
-    name = name.strip()
-    parts = _parse_params(params)
-    try:
-        if name in ("zero", "harmonic", "growth") and parts:
-            raise ConfigError(f"{name} takes no parameters")
-        if name == "zero":
-            return ZeroFiller()
-        if name == "random":
-            if len(parts) > 1:
-                raise ConfigError("random takes at most one parameter (density)")
-            density = parse_rat(parts[0]) if parts else rat(1, 2)
-            return RandomFiller(config, rng, density)
-        if name == "harmonic":
-            if config.n < 2:
-                raise ConfigError("harmonic filler needs n >= 2")
-            return ShrinkingPassFiller(config, anchors=0)
-        if name == "growth":
-            if config.n < config.p + 1:
-                raise ConfigError("growth filler needs n >= p + 1")
-            return ShrinkingPassFiller(config, anchors=config.p - 1)
-        if name == "anchor-swap":
-            if len(parts) > 3:
-                raise ConfigError("anchor-swap takes at most P,R,L")
-            return _anchor_swap(config, rng, *[int(part) for part in parts])
-        if name == "anti-greedy":
-            if len(parts) > 3:
-                raise ConfigError("anti-greedy takes at most ELL,C,PHASES")
-            parse = (int, parse_rat, int)
-            return _anti_greedy(config, rng, *[f(part) for f, part in zip(parse, parts)])
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"bad parameters in filler spec {spec!r}: {err}") from None
-    raise ConfigError(f"unknown filler spec {spec!r}")
+    name, params = parse_spec(spec, _FILLERS, "filler")
+    if name == "zero":
+        return ZeroFiller()
+    if name == "random":
+        return RandomFiller(config, rng, *params)
+    if name == "harmonic":
+        if config.n < 2:
+            raise ConfigError("harmonic filler needs n >= 2")
+        return ShrinkingPassFiller(config, anchors=0)
+    if name == "growth":
+        if config.n < config.p + 1:
+            raise ConfigError("growth filler needs n >= p + 1")
+        return ShrinkingPassFiller(config, anchors=config.p - 1)
+    if name == "anchor-swap":
+        return _anchor_swap(config, rng, *params)
+    return _anti_greedy(config, rng, *params)

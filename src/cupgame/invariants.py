@@ -585,9 +585,11 @@ def applicable_checkers(trace: Trace) -> list[str]:
 
 
 def run_checkers(trace: Trace, names=None, *, window: int = WINDOW):
-    """Run the named checkers (default: all applicable) over the trace."""
+    """Run the named checkers (default: all applicable, at least one) over the trace."""
     if names is None:
         names = applicable_checkers(trace)
+        if not names:
+            raise PreconditionError(f"no checker covers emptier {trace.config.emptier!r}")
     reports = []
     for name in names:
         if name not in CHECKERS:

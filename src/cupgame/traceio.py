@@ -159,8 +159,8 @@ def read_trace(directory) -> Trace:
     Every step is replayed, not trusted: the fill move (intermediate minus
     previous post) and the selection must be legal for the config, and the
     selection's removals must turn the intermediate row into the post row.
-    Any breach raises ValueError naming the step.  The replay must also run
-    as many steps, and reach the same max backlog, as summary.json says, and
+    Any breach raises ValueError naming the step.  Every summary.json entry
+    but config and violation must also be the replay's summarize value, and
     a recorded violation must be an abort at the step after the last one.
 
     Rows are read as ints over one denominator, carried forward as an lcm as
@@ -172,8 +172,6 @@ def read_trace(directory) -> Trace:
     try:
         summary = json.loads(summary_path.read_text())
         config = _config_from_dict(summary["config"])
-        steps_executed = summary["steps_executed"]
-        max_backlog = parse_rat(summary["max_backlog"]["exact"])
         raw = summary["violation"]
         violation = None if raw is None else Violation(
             step=raw["step"], source=raw["source"], reasons=tuple(raw["reasons"])
@@ -249,16 +247,12 @@ def read_trace(directory) -> Trace:
         )
         previous = post
     trace = Trace(config=config, initial=initial, records=records, violation=violation)
-    if steps_executed != trace.steps_executed:
-        raise ValueError(
-            f"{summary_path}: steps_executed is {steps_executed}, "
-            f"but {trace_path} replays {trace.steps_executed} steps"
-        )
-    if max_backlog != trace.max_backlog():
-        raise ValueError(
-            f"{summary_path}: max_backlog is {format_rat(max_backlog)}, "
-            f"but the replay of {trace_path} reaches {format_rat(trace.max_backlog())}"
-        )
+    for key, value in summarize(trace).items():
+        if key not in ("config", "violation") and summary.get(key) != value:
+            raise ValueError(
+                f"{summary_path}: {key} is {json.dumps(summary.get(key), sort_keys=True)}, "
+                f"but the replay of {trace_path} gives {json.dumps(value, sort_keys=True)}"
+            )
     abort = trace.steps_executed + 1  # the only step a run can have aborted at
     if violation is not None and not (
         type(violation.step) is int and violation.step == abort <= config.steps

@@ -12,6 +12,8 @@ import pytest
 
 import cupgame
 from cupgame.cli import build_parser, main
+from cupgame.emptiers import ThresholdBlindEmptier
+from cupgame.engine import GameConfig, run_game
 from cupgame.rational import parse_rat, rat
 from cupgame.traceio import write_trace
 
@@ -178,6 +180,17 @@ def test_check_inapplicable_checker_exits_2(tmp_path):
     src = tmp_path / "game"
     run_cli("run", "--n", 4, "--p", 2, "--steps", 5, "--out", src)
     assert run_cli("check", src, "--checkers", "single-av") == 2
+
+
+@pytest.mark.parametrize("emptier", ["threshold-blind", "threshold-blind:2,2"])
+def test_check_with_no_applicable_checker_exits_2(tmp_path, capsys, emptier):
+    # "threshold-blind:2,2" stands for a trace saved while that spec took L,C:
+    # it still loads, because loading a trace never builds its emptier
+    config = GameConfig(n=8, p=3, steps=40, seed=3, filler="random:1", emptier=emptier)
+    write_trace(run_game(config, emptier=ThresholdBlindEmptier()), tmp_path)
+    assert run_cli("check", tmp_path) == 2
+    assert f"no checker covers emptier {emptier!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_check_malformed_trace_exits_2(tmp_path):

@@ -65,32 +65,28 @@ class TestSmoothed:
 class TestThresholdBlind:
     def test_drains_fullest_and_emptiest(self):
         state = CupState([5, 4, 1, 0, 3])
-        move = ThresholdBlindEmptier(4, 2).select(state, 3)
+        move = ThresholdBlindEmptier().select(state, 3)
         assert move.cups == (1, 3, 4)
 
     def test_small_games_drain_everything(self):
         state = CupState([1, 2])
-        assert ThresholdBlindEmptier(4, 2).select(state, 2).cups == (1, 2)
+        assert ThresholdBlindEmptier().select(state, 2).cups == (1, 2)
 
     def test_parameter_validation(self):
-        with pytest.raises(ConfigError):
-            ThresholdBlindEmptier(0, 2)
-        with pytest.raises(ConfigError):
-            ThresholdBlindEmptier(4, rat(1, 2))
+        # select never read the old L,C, so the spec takes none
+        with pytest.raises(ConfigError, match=r"'threshold-blind:4,2' takes at most 0"):
+            make_emptier("threshold-blind:4,2")
 
 
 class TestSpecStrings:
     def test_round_trip_specs(self):
         assert isinstance(make_emptier("greedy"), GreedyEmptier)
         assert isinstance(make_emptier("smoothed-greedy"), SmoothedGreedyEmptier)
-        blind = make_emptier("threshold-blind:4,2")
-        assert blind.ell == 4 and blind.c == 2
-        blind = make_emptier("threshold-blind:8,3/2")
-        assert blind.c == rat(3, 2)
+        assert isinstance(make_emptier("threshold-blind"), ThresholdBlindEmptier)
 
     @pytest.mark.parametrize(
         "spec",
-        ["nope", "greedy:1", "smoothed-greedy:2", "threshold-blind",
+        ["nope", "greedy:1", "smoothed-greedy:2", "threshold-blind:2,2",
          "threshold-blind:4", "threshold-blind:4,2,1", "threshold-blind:a,b"],
     )
     def test_bad_specs_rejected(self, spec):

@@ -222,7 +222,7 @@ class TestDeterminismAndVisibility:
         base = dict(n=6, p=2, steps=40, seed=77, filler="random",
                     visibility="oblivious")
         greedy = run_game(GameConfig(emptier="greedy", **base))
-        blind = run_game(GameConfig(emptier="threshold-blind:2,2", **base))
+        blind = run_game(GameConfig(emptier="threshold-blind", **base))
         assert moves_of(greedy) == moves_of(blind)
         # and the emptier actually behaved differently
         assert any(

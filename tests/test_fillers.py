@@ -113,7 +113,7 @@ class TestGrowth:
         for n, p in ((4, 1), (5, 2)):
             threshold = harmonic_number(n - p + 1) - 1
             budget = 20 * n * (n - p)
-            for emptier in ("greedy", "smoothed-greedy", "threshold-blind:2,2"):
+            for emptier in ("greedy", "smoothed-greedy", "threshold-blind"):
                 config = GameConfig(
                     n=n, p=p, steps=budget, seed=1, filler="growth", emptier=emptier
                 )
@@ -193,7 +193,7 @@ class TestAnchorSwap:
         )
         runs = [
             run_game(GameConfig(emptier=emptier, **base))
-            for emptier in ("greedy", "smoothed-greedy", "threshold-blind:2,2")
+            for emptier in ("greedy", "smoothed-greedy", "threshold-blind")
         ]
         assert moves_of(runs[0]) == moves_of(runs[1]) == moves_of(runs[2])
 
@@ -237,7 +237,7 @@ class TestAntiGreedy:
         )
         runs = [
             run_game(GameConfig(emptier=emptier, **base))
-            for emptier in ("greedy", "smoothed-greedy", "threshold-blind:8,2")
+            for emptier in ("greedy", "smoothed-greedy", "threshold-blind")
         ]
         assert moves_of(runs[0]) == moves_of(runs[1]) == moves_of(runs[2])
 
@@ -329,7 +329,7 @@ PARITY_DIGESTS = {
     "anti-greedy:8,1/2,4": "e4b2918d38d1c2fc3092ebd13a071d5db1202fec326d56c51930e803f9fc7649",
 }
 PARITY_GRID = ((17, 1, 0), (18, 2, 1), (20, 4, 2), (24, 3, 7))  # (n, p, seed)
-PARITY_EMPTIERS = ("greedy", "smoothed-greedy", "threshold-blind:2,2")
+PARITY_EMPTIERS = ("greedy", "smoothed-greedy", "threshold-blind")
 
 
 @pytest.mark.parametrize("spec", sorted(PARITY_DIGESTS))

@@ -192,7 +192,7 @@ def test_cup_reset_flags_forged_jump():
 
 
 def test_cup_reset_rejects_other_emptiers():
-    config = GameConfig(n=4, p=2, steps=5, emptier="threshold-blind:2,2")
+    config = GameConfig(n=4, p=2, steps=5, emptier="threshold-blind")
     with pytest.raises(PreconditionError):
         check_cup_reset(run_game(config))
 
@@ -508,14 +508,14 @@ def test_applicable_checkers_by_config():
         "working-set",
         "fractional",
     ]
-    blind = run_game(GameConfig(n=4, p=2, steps=5, emptier="threshold-blind:2,2"))
+    blind = run_game(GameConfig(n=4, p=2, steps=5, emptier="threshold-blind"))
     assert applicable_checkers(blind) == []
 
 
 def test_applicable_checkers_are_exactly_the_runnable_ones():
     # one declaration per checker: whatever applicable_checkers lists must run,
     # and whatever it leaves out must refuse the trace
-    for emptier in ("greedy", "smoothed-greedy", "threshold-blind:2,1"):
+    for emptier in ("greedy", "smoothed-greedy", "threshold-blind"):
         for truncation in (None, 2):
             for n, p in ((1, 1), (2, 1), (3, 2), (2, 2)):
                 for initial in (None, (rat(1, 2),) + (0,) * (n - 1)):
@@ -549,6 +549,14 @@ def test_run_checkers_propagates_precondition():
     trace = play(4, 2, 5, emptier=None)
     with pytest.raises(PreconditionError):
         run_checkers(trace, names=["single-av"])
+
+
+def test_run_checkers_default_refuses_a_trace_no_lemma_covers():
+    # all applicable checkers of a threshold-blind trace is none: no vacuous PASS
+    blind = run_game(GameConfig(n=4, p=2, steps=5, emptier="threshold-blind"))
+    with pytest.raises(PreconditionError, match="'threshold-blind'"):
+        run_checkers(blind)
+    assert run_checkers(blind, []) == []
 
 
 def test_every_checker_name_is_runnable():

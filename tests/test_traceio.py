@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -251,7 +252,7 @@ def test_read_rejects_a_trace_cut_at_a_step_boundary(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[: 2 + 2 * 10]) + "\n")  # header, t=0, steps 1..10
     with pytest.raises(
-        ValueError, match=r"summary\.json: steps_executed is 50, but .*trace\.csv replays 10 steps"
+        ValueError, match=r"summary\.json: steps_executed is 50, but the replay of .*trace\.csv gives 10$"
     ):
         read_trace(tmp_path)
 
@@ -263,7 +264,36 @@ def test_read_rejects_a_max_backlog_the_replay_does_not_reach(tmp_path):
     summary = json.loads(path.read_text())
     summary["max_backlog"]["exact"] = "99/1"
     path.write_text(json.dumps(summary))
-    with pytest.raises(ValueError, match=r"summary\.json: max_backlog is 99/1, but the replay"):
+    with pytest.raises(
+        ValueError,
+        match=r'summary\.json: max_backlog is \{"decimal": "[0-9.]+", "exact": "99/1"\}, but',
+    ):
+        read_trace(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, forge",
+    [
+        ("empirical_M", lambda entry: {"decimal": "99", "exact": "99/1"}),
+        ("record_setting_steps", lambda entry: [7]),
+        ("final_backlog", lambda entry: {"decimal": "123", "exact": "5/1"}),
+        ("max_backlog", lambda entry: dict(entry, decimal="777")),  # exact kept
+    ],
+    ids=["empirical-M", "record-setting-steps", "final-backlog", "max-backlog-decimal"],
+)
+def test_read_rejects_a_summary_field_the_replay_does_not_give(tmp_path, key, forge):
+    trace = sample_trace(emptier="greedy")
+    write_trace(trace, tmp_path)
+    path = tmp_path / "summary.json"
+    summary = json.loads(path.read_text())
+    forged = summary[key] = forge(summary[key])
+    path.write_text(json.dumps(summary))
+    replayed = json.dumps(summarize(trace)[key], sort_keys=True)
+    with pytest.raises(
+        ValueError,
+        match=re.escape(f"summary.json: {key} is {json.dumps(forged, sort_keys=True)}, ")
+        + r"but the replay of .*trace\.csv gives " + re.escape(replayed) + "$",
+    ):
         read_trace(tmp_path)
 
 
