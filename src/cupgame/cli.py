@@ -54,6 +54,19 @@ def _seed_list(text: str) -> list[int]:
     return _int_list(text)
 
 
+def _checker_names(text: str) -> list[str]:
+    names = [part for part in text.split(",") if part]
+    if not names:
+        raise argparse.ArgumentTypeError(f"names no checker: {text!r}")
+    return names
+
+
+def _window(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -100,10 +113,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     trace_dir = Path(args.trace)
     trace = read_trace(trace_dir)
-    names = None
-    if args.checkers:
-        names = [part for part in args.checkers.split(",") if part]
-    reports = run_checkers(trace, names, window=args.window)
+    reports = run_checkers(trace, args.checkers, window=args.window)
     for report in reports:
         if report.passed:
             print(f"{report.check}: PASS")
@@ -272,8 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run invariant checkers over a saved trace")
     check.add_argument("trace", help="directory containing trace.csv + summary.json")
-    check.add_argument("--checkers", help="comma list (default: all applicable)")
-    check.add_argument("--window", type=int, default=WINDOW)
+    check.add_argument(
+        "--checkers", type=_checker_names, help="comma list (default: all applicable)"
+    )
+    check.add_argument("--window", type=_window, default=WINDOW)
     check.add_argument("--out", help="report directory (default: the trace directory)")
     check.set_defaults(func=cmd_check)
 

@@ -17,9 +17,8 @@ PLOT_H = HEIGHT - 2 * MARGIN
 
 
 def _y_pixel(value, ymax: int) -> int:
-    # value/ymax of the plot height, floored; ymax >= 1 so no div by zero
-    scaled = value * PLOT_H / ymax
-    return HEIGHT - MARGIN - floor_rat(scaled)
+    # value/ymax of the plot height, floored in ints; ymax >= 1 so no div by zero
+    return HEIGHT - MARGIN - (value.numerator * PLOT_H) // (value.denominator * ymax)
 
 
 def backlog_svg(trace) -> str:

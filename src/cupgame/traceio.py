@@ -8,6 +8,13 @@ selected cups with the skip flag replay the removals.  backlog and av_p are
 15-significant-digit decimal conveniences for spreadsheets; they are never
 read back.
 
+Rows are coded as deltas from the row above.  The writer reformats only
+the cups whose ints changed (every cup when den changed) and streams each
+line to the file.  The reader parses and checks only the cells whose text
+changed; any other cell is text-identical to the verified cell of the same
+cup one row up, so it keeps that int, rescaled to the new den.  A cup's
+lowest-terms text depends only on its value, so the delta changes no byte.
+
 summary.json records the config, run totals, and any abort, and is the
 authoritative source of the config when re-loading a trace directory.
 Output bytes are deterministic: fixed column order, sorted JSON keys, LF
@@ -19,7 +26,9 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+from itertools import compress
 from math import gcd, lcm
+from operator import ne
 from pathlib import Path
 
 from .engine import (
@@ -42,16 +51,21 @@ TRACE_NAME = "trace.csv"
 SUMMARY_NAME = "summary.json"
 
 
-def _row(t: int, stage: str, state: CupState, backlog, av, selected="", skip=""):
-    den = state.den
-    cells = [str(t), stage, selected, skip]
-    # lowest terms straight from the ints: one gcd per cup, no rational
-    for scaled in state.scaled:
-        common = gcd(scaled, den)
-        cells.append(f"{scaled // common}/{den // common}")
-    cells.append(to_decimal(backlog))
-    cells.append(to_decimal(av))
-    return cells
+def _update_cells(cells: list, before, state: CupState):
+    """Reformat the cup cells of state that may differ from before's.
+
+    cells holds before's lowest-terms text.  A cup whose int is unchanged
+    over the same den keeps its text; after a den change (or with no before)
+    every cup is reformatted, one gcd each.
+    """
+    den, scaled = state.den, state.scaled
+    if before is not None and before.den == den:
+        cups = compress(range(len(scaled)), map(ne, scaled, before.scaled))
+    else:
+        cups = range(len(scaled))
+    for cup in cups:
+        common = gcd(scaled[cup], den)
+        cells[cup] = f"{scaled[cup] // common}/{den // common}"
 
 
 def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
@@ -61,23 +75,30 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
     n, p = trace.config.n, trace.config.p
     trace_path = directory / TRACE_NAME
     with trace_path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        write = handle.write
         header = ["t", "stage", "selected", "skip"]
         header.extend(f"cup_{cup}" for cup in range(1, n + 1))
         header.extend(["backlog", "av_p"])
-        writer.writerow(header)
+        write(",".join(header) + "\n")
         # the post rows' statistics are the series summarize reads too
         backlogs, avs = trace.backlog_series(), trace.av_series()
-        writer.writerow(_row(0, "post", trace.initial, backlogs[0], avs[0]))
+        cells = [""] * n
+        _update_cells(cells, None, trace.initial)
+        write(f"0,post,,,{','.join(cells)},{to_decimal(backlogs[0])},{to_decimal(avs[0])}\n")
+        previous = trace.initial
         for index, record in enumerate(trace.records, start=1):
-            inter = record.intermediate
+            t, inter, post = record.t, record.intermediate, record.post
+            _update_cells(cells, previous, inter)
             av = inter.prefix_stats(p)[1]
-            writer.writerow(_row(record.t, "inter", inter, inter.backlog(), av))
+            write(f"{t},inter,,,{','.join(cells)},{to_decimal(inter.backlog())},{to_decimal(av)}\n")
+            _update_cells(cells, inter, post)
             selected = " ".join(str(cup) for cup in record.empty.cups)
             skip = "1" if record.empty.skip_under_one else "0"
-            writer.writerow(
-                _row(record.t, "post", record.post, backlogs[index], avs[index], selected, skip)
+            write(
+                f"{t},post,{selected},{skip},{','.join(cells)},"
+                f"{to_decimal(backlogs[index])},{to_decimal(avs[index])}\n"
             )
+            previous = post
     summary_path = directory / SUMMARY_NAME
     blob = json.dumps(summarize(trace), sort_keys=True, indent=2) + "\n"
     summary_path.write_text(blob)
@@ -130,11 +151,19 @@ def _config_from_dict(data: dict) -> GameConfig:
     )
 
 
-def _scaled_row(cells, den: int):
-    """Cup cells as (scaled, den): ints over the least multiple of den that
-    every cell's denominator divides."""
+def _scaled_cells(cells, before, previous: CupState):
+    """A row's cup cells as (scaled, den, changed), given the previous row.
+
+    before is the previous row's cell text and previous its (scaled, den).
+    Only the cups in changed, those whose text differs from before, are
+    parsed and checked; every other cup is text already verified, so it
+    keeps previous's int.  den is the least multiple of previous.den that
+    every cell's denominator divides.
+    """
+    changed = list(compress(range(len(cells)), map(ne, cells, before)))
     pairs = []
-    for cell in cells:
+    for cup in changed:
+        cell = cells[cup]
         num, slash, bottom = cell.partition("/")
         try:
             num, bottom = int(num), int(bottom) if slash else 1
@@ -145,12 +174,17 @@ def _scaled_row(cells, den: int):
         if bottom < 0:
             num, bottom = -num, -bottom
         pairs.append((num, bottom))
-    for cup, (num, bottom) in enumerate(pairs, start=1):
+    den = previous.den
+    for cup, (num, bottom) in zip(changed, pairs):
         if num < 0:
-            raise ValueError(f"cup {cup} has negative fill {rat(num, bottom)}")
+            raise ValueError(f"cup {cup + 1} has negative fill {rat(num, bottom)}")
         if den % bottom:
             den = lcm(den, bottom)
-    return tuple(num * (den // bottom) for num, bottom in pairs), den
+    scale = den // previous.den
+    scaled = list(previous.scaled) if scale == 1 else [x * scale for x in previous.scaled]
+    for cup, (num, bottom) in zip(changed, pairs):
+        scaled[cup] = num * (den // bottom)
+    return tuple(scaled), den, changed
 
 
 def read_trace(directory) -> Trace:
@@ -196,12 +230,13 @@ def read_trace(directory) -> Trace:
         raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
 
     rows.reverse()  # popped in file order, so each row's text is freed once replayed
-    try:
-        initial = CupState._wrap(*_scaled_row(rows.pop()[4 : 4 + n], 1))
+    cells = rows.pop()[4 : 4 + n]
+    try:  # against no text and n empty cups, every cell is parsed
+        scaled, den, _ = _scaled_cells(cells, [None] * n, CupState._wrap((0,) * n, 1))
     except ValueError as err:
         raise ValueError(f"{trace_path}: line 2: {err}") from None
+    initial = previous = CupState._wrap(scaled, den)
     records = []
-    previous = initial
     if len(rows) % 2:
         raise ValueError(f"{trace_path}: dangling intermediate row at end of trace")
     for t in range(1, len(rows) // 2 + 1):
@@ -210,17 +245,13 @@ def read_trace(directory) -> Trace:
             raise ValueError(f"{trace_path}: line {2 * t + 1}: malformed step {t} rows")
         where = f"step {t}"
         try:
-            scaled, den = _scaled_row(inter_row[4 : 4 + n], previous.den)
+            inter_cells = inter_row[4 : 4 + n]
+            scaled, den, changed = _scaled_cells(inter_cells, cells, previous)
             inter = CupState._wrap(scaled, den)
-            scale = den // previous.den
-            fill = FillMove._wrap(
-                tuple(
-                    (cup, now - before * scale)
-                    for cup, (now, before) in enumerate(zip(scaled, previous.scaled), 1)
-                    if now != before * scale
-                ),
-                den,
-            )
+            # a cup whose text did not change got no deposit
+            scale, before = den // previous.den, previous.scaled
+            deposits = ((cup + 1, scaled[cup] - before[cup] * scale) for cup in changed)
+            fill = FillMove._wrap(tuple(pair for pair in deposits if pair[1]), den)
             try:
                 selected = tuple(int(cup) for cup in post_row[2].split())
             except ValueError:
@@ -232,7 +263,8 @@ def read_trace(directory) -> Trace:
             if problems:
                 raise ValueError("; ".join(problems))
             post, drained = apply_empty(inter, empty)
-            scaled, den = _scaled_row(post_row[4 : 4 + n], den)
+            cells = post_row[4 : 4 + n]
+            scaled, den, _ = _scaled_cells(cells, inter_cells, inter)
             if den != post.den:  # the row's text needs a larger denominator
                 post = CupState._wrap(tuple(x * (den // post.den) for x in post.scaled), den)
             if post.scaled != scaled:

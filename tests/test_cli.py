@@ -176,6 +176,35 @@ def test_check_unknown_checker_exits_2(tmp_path):
     assert run_cli("check", src, "--checkers", "bogus") == 2
 
 
+@pytest.mark.parametrize("names", [",", "", ",,"])
+def test_check_list_naming_no_checker_exits_2(tmp_path, capsys, names):
+    src = tmp_path / "game"
+    run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--filler", "random:1/2", "--out", src)
+    with pytest.raises(SystemExit) as info:
+        run_cli("check", src, "--checkers", names)
+    assert info.value.code == 2
+    assert f"argument --checkers: names no checker: {names!r}" in capsys.readouterr().err
+    assert not (src / "report.json").exists()
+
+
+@pytest.mark.parametrize("window", ["0", "-1", "x"])
+@pytest.mark.parametrize("emptier", ["greedy", "smoothed-greedy"])
+def test_check_rejects_a_window_below_one_before_reading_the_trace(
+    tmp_path, capsys, emptier, window
+):
+    # working-set reads the window on smoothed-greedy traces only; both exit 2
+    src = tmp_path / "game"
+    run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--filler", "random:1/2",
+            "--emptier", emptier, "--out", src)
+    for trace in (src, tmp_path / "absent"):
+        with pytest.raises(SystemExit) as info:
+            run_cli("check", trace, f"--window={window}")
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --window: must be an integer >= 1, got {window!r}" in err
+    assert not (src / "report.json").exists()
+
+
 def test_check_inapplicable_checker_exits_2(tmp_path):
     src = tmp_path / "game"
     run_cli("run", "--n", 4, "--p", 2, "--steps", 5, "--out", src)
