@@ -70,6 +70,10 @@ class GameConfig:
     visibility: str = ADAPTIVE
 
     def __post_init__(self):
+        for name in ("n", "p", "steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.p <= self.n:
@@ -186,8 +190,7 @@ class Trace:
     initial: CupState
     records: list[StepRecord]
     violation: Violation | None = None
-    _backlogs: list = field(default=None, repr=False, compare=False)
-    _avs: list = field(default=None, repr=False, compare=False)
+    _masses: list = field(default=None, repr=False, compare=False)
     _max_backlog: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -197,11 +200,6 @@ class Trace:
     def states(self) -> list[CupState]:
         """Post states S_0..S_T."""
         return [self.initial] + [record.post for record in self.records]
-
-    def backlog_series(self):
-        if self._backlogs is None:
-            self._backlogs = [state.backlog() for state in self.states()]
-        return self._backlogs
 
     def max_backlog(self):
         """Largest backlog of any post state, compared as ints across dens."""
@@ -214,15 +212,23 @@ class Trace:
             self._max_backlog = rat(top, den)
         return self._max_backlog
 
-    def av_series(self):
-        """av_p(S_t) for t = 0..T."""
-        if self._avs is None:
-            self._avs = [state.prefix_stats(self.config.p)[1] for state in self.states()]
-        return self._avs
+    def top_masses(self) -> list:
+        """(mass, den) per post state S_0..S_T: av_p(S_t) = mass / (den * p).
+
+        mass is the sum of the p largest ints of the state's scaled fills.
+        """
+        if self._masses is None:
+            p = self.config.p
+            self._masses = [(sum(state.top_scaled(p)), state.den) for state in self.states()]
+        return self._masses
 
     def empirical_M(self):
         """Largest av_p seen anywhere in the trace."""
-        return max(self.av_series())
+        top, den = 0, 1
+        for mass, mass_den in self.top_masses():
+            if mass * den > top * mass_den:
+                top, den = mass, mass_den
+        return rat(top, den * self.config.p)
 
 
 def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[str]:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import deque
+from itertools import accumulate
 from dataclasses import dataclass
 
 from .engine import Trace
@@ -126,7 +128,7 @@ def _tail_bounds(n: int, last: int) -> list:
 def _tail_scan(trace, name, params, skip, charged, value_key) -> InvariantReport:
     """Charged top-(skip + k) mass against k * (1 + sum_{j=k+1}^n 1/j), all k, t.
 
-    One walk down each state's ranking: the running mass of the skip + k
+    One walk down each state's sorted ints: the running mass of the skip + k
     fullest cups, less the charge, must not exceed the k-th tail bound.
     """
     n = trace.config.n
@@ -139,10 +141,9 @@ def _tail_scan(trace, name, params, skip, charged, value_key) -> InvariantReport
             limit = limits[den] = [None] + [
                 floor_rat((bounds[k] + charged) * den) for k in range(1, n - skip + 1)
             ]
-        fills = state.scaled
         mass = 0
-        for k, cup in enumerate(state.top_cups(n), start=1 - skip):
-            mass += fills[cup - 1]
+        for k, fill in enumerate(state.top_scaled(n), start=1 - skip):
+            mass += fill
             if k > 0 and mass > limit[k]:
                 value = (rat(mass, den) - charged) / k
                 witness = {"t": t, "k": k, value_key: value, "bound": bounds[k] / k}
@@ -163,11 +164,6 @@ def check_truncated_invariant(trace: Trace) -> InvariantReport:
     return _tail_scan(trace, "truncated-tail", params, p, p * truncation, "value")
 
 
-def _top_scaled(state, k: int) -> list:
-    """Scaled fills (over state.den) of the k fullest cups, in rank order."""
-    return [state.scaled[cup - 1] for cup in state.top_cups(k)]
-
-
 def check_cup_reset(trace: Trace) -> InvariantReport:
     """A cup whose rank fill rose was refilled, so nearby ranks are close.
 
@@ -178,7 +174,7 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p}
     floor_rank = min(p + 1, n)
-    ranked = [(state.den, _top_scaled(state, floor_rank)) for state in trace.states()]
+    ranked = [(state.den, state.top_scaled(floor_rank)) for state in trace.states()]
     for t in range(1, len(ranked)):
         (prev_den, prev), (den, cur) = ranked[t - 1], ranked[t]
         low = cur[floor_rank - 1]
@@ -203,12 +199,12 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
 def record_setting_steps(trace: Trace) -> list[int]:
     """Steps whose av_p strictly exceeds every earlier step's av_p."""
     result = []
-    best = None
-    series = trace.av_series()
-    for t in range(1, len(series)):
-        if best is None or series[t] > best:
+    best = best_den = None
+    for t, (mass, den) in enumerate(trace.top_masses()[1:], start=1):
+        # av_p is mass / (den * p): compare the masses cross-multiplied
+        if best is None or mass * best_den > best * den:
             result.append(t)
-            best = series[t]
+            best, best_den = mass, den
     return result
 
 
@@ -226,7 +222,7 @@ def check_record_constraints(trace: Trace) -> InvariantReport:
     states = trace.states()
     for t in record_setting_steps(trace):
         den = states[t].den
-        top = _top_scaled(states[t], p + 1)
+        top = states[t].top_scaled(p + 1)
         for i in range(1, p + 1):
             mass = sum(top[i:])
             if mass < (p + 1 - i) * (top[i - 1] - den):
@@ -466,6 +462,11 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
     reach p(t1 - t0 + 1): the set S of cups that crossed satisfies
     |S| <= 2 A^(i)(t0 - 1), and the deposits into S over the interval total
     at least p(t1 - t0 + 1) - |S|.
+
+    With s(t) = (crossings over steps 1..t) - p t, the interval [t0, t1] is
+    heavy iff s(t1) >= s(t0 - 1).  A sliding maximum of s over each window
+    (a monotone deque, O(T) in all) skips every t0 whose window holds no
+    heavy interval; the scan of the others, and so the witness, is unchanged.
     """
     _require(trace, "working-set")
     if window < 1:
@@ -475,7 +476,20 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
     den, cums = _deposit_cumsums(trace)
     params = {"level": level, "window": window}
     steps = trace.steps_executed
-    for t0 in range(1, steps + 1):
+    s = list(accumulate((count - p for count in stats.crossings[1:]), initial=0))
+    starts = []
+    # the window [t0, t0 + window - 1] slides left; ends holds its candidate
+    # t1s in order, s rising to the window's maximum at the right
+    ends = deque()
+    for t0 in range(steps, 0, -1):
+        while ends and s[ends[0]] <= s[t0]:
+            ends.popleft()
+        ends.appendleft(t0)
+        if ends[-1] >= t0 + window:
+            ends.pop()
+        if s[ends[-1]] >= s[t0 - 1]:
+            starts.append(t0)
+    for t0 in reversed(starts):
         crossings = 0
         cups: set[int] = set()
         for t1 in range(t0, min(steps, t0 + window - 1) + 1):

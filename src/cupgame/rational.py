@@ -72,16 +72,21 @@ def parse_rat(text: str):
     raise ValueError(f"malformed rational: {text!r}")
 
 
-def to_decimal(value) -> str:
-    """Render value as a decimal string with 15 significant digits.
+_DECIMAL = decimal.Context(prec=15)  # round half even, as every context starts
 
-    Computed with the decimal module (never via float) so the rendering is
-    exact, deterministic, and platform independent.
+
+def to_decimal(value, den: int = 1) -> str:
+    """Render value/den as a decimal string with 15 significant digits.
+
+    value is an int or an exact rational, den a positive int.  Computed
+    with the decimal module (never via float) so the rendering is exact,
+    deterministic, and platform independent; an exact quotient keeps the
+    fewest digits, so an unreduced pair renders like its lowest terms.
     """
-    value = as_rat(value)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 15
-        return str(decimal.Decimal(value.numerator) / value.denominator)
+    if type(value) is not int:
+        value = as_rat(value)
+        value, den = value.numerator, value.denominator * den
+    return str(_DECIMAL.divide(decimal.Decimal(value), den))
 
 
 def exact_and_decimal(value) -> dict:

@@ -109,11 +109,22 @@ class CupState:
                 top.pop()
         return tuple(top)
 
+    def top_scaled(self, k: int) -> list:
+        """The k largest scaled fills (over den), largest first.
+
+        Values only, from one sort of the ints: no tie order can change them.
+        """
+        return sorted(self.scaled, reverse=True)[:k]
+
     def prefix_stats(self, i: int):
-        """(total, average) fill of the i fullest cups."""
+        """(total, average) fill of the i fullest cups.
+
+        The run statistics read the ints instead (Trace.top_masses); this
+        and rank_fill stay because perfbench/tracing.py wraps them by name.
+        """
         if not 1 <= i <= self.n:
             raise ValueError(f"rank {i} outside 1..{self.n}")
-        total = sum(sorted(self.scaled, reverse=True)[:i])  # ties cannot change it
+        total = sum(self.top_scaled(i))
         return rat(total, self.den), rat(total, self.den * i)
 
     def backlog(self):

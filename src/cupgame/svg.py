@@ -7,7 +7,9 @@ so the picture is a faithful (and machine-recoverable) view of the CSV.
 
 from __future__ import annotations
 
-from .rational import format_rat, floor_rat
+from math import gcd
+
+from .rational import floor_rat
 
 WIDTH = 800
 HEIGHT = 400
@@ -16,25 +18,26 @@ PLOT_W = WIDTH - 2 * MARGIN
 PLOT_H = HEIGHT - 2 * MARGIN
 
 
-def _y_pixel(value, ymax: int) -> int:
-    # value/ymax of the plot height, floored in ints; ymax >= 1 so no div by zero
-    return HEIGHT - MARGIN - (value.numerator * PLOT_H) // (value.denominator * ymax)
-
-
 def backlog_svg(trace) -> str:
-    series = trace.backlog_series()
-    last = len(series) - 1
+    states = trace.states()
+    last = len(states) - 1
     ymax = max(1, floor_rat(trace.max_backlog()) + 1)
     points = []
-    for t, value in enumerate(series):
+    exact = []  # each backlog in lowest terms
+    for t, state in enumerate(states):
+        top, den = max(state.scaled), state.den
+        common = gcd(top, den)
+        exact.append(f"{top // common}/{den // common}")
         x = MARGIN + (t * PLOT_W) // max(last, 1)
-        points.append(f"{x},{_y_pixel(value, ymax)}")
+        # backlog/ymax of the plot height, floored in ints; ymax >= 1
+        y = HEIGHT - MARGIN - (top * PLOT_H) // (den * ymax)
+        points.append(f"{x},{y}")
     config = trace.config
     title = (
         f"backlog: n={config.n} p={config.p} filler={config.filler} "
         f"emptier={config.emptier} seed={config.seed}"
     )
-    desc = " ".join(format_rat(value) for value in series)
+    desc = " ".join(exact)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',

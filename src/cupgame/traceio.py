@@ -68,6 +68,12 @@ def _update_cells(cells: list, before, state: CupState):
         cells[cup] = f"{scaled[cup] // common}/{den // common}"
 
 
+def _stat_cells(state: CupState, mass: int, p: int) -> str:
+    """The backlog and av_p cells of a state whose top-p ints sum to mass."""
+    den = state.den
+    return f"{to_decimal(max(state.scaled), den)},{to_decimal(mass, den * p)}"
+
+
 def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
     """Write trace.csv and summary.json under directory; returns both paths."""
     directory = Path(directory)
@@ -80,24 +86,20 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
         header.extend(f"cup_{cup}" for cup in range(1, n + 1))
         header.extend(["backlog", "av_p"])
         write(",".join(header) + "\n")
-        # the post rows' statistics are the series summarize reads too
-        backlogs, avs = trace.backlog_series(), trace.av_series()
+        masses = trace.top_masses()  # the post rows' av_p, as summarize reads it
         cells = [""] * n
         _update_cells(cells, None, trace.initial)
-        write(f"0,post,,,{','.join(cells)},{to_decimal(backlogs[0])},{to_decimal(avs[0])}\n")
+        write(f"0,post,,,{','.join(cells)},{_stat_cells(trace.initial, masses[0][0], p)}\n")
         previous = trace.initial
-        for index, record in enumerate(trace.records, start=1):
+        for record, (mass, _) in zip(trace.records, masses[1:]):
             t, inter, post = record.t, record.intermediate, record.post
             _update_cells(cells, previous, inter)
-            av = inter.prefix_stats(p)[1]
-            write(f"{t},inter,,,{','.join(cells)},{to_decimal(inter.backlog())},{to_decimal(av)}\n")
+            stats = _stat_cells(inter, sum(inter.top_scaled(p)), p)
+            write(f"{t},inter,,,{','.join(cells)},{stats}\n")
             _update_cells(cells, inter, post)
             selected = " ".join(str(cup) for cup in record.empty.cups)
             skip = "1" if record.empty.skip_under_one else "0"
-            write(
-                f"{t},post,{selected},{skip},{','.join(cells)},"
-                f"{to_decimal(backlogs[index])},{to_decimal(avs[index])}\n"
-            )
+            write(f"{t},post,{selected},{skip},{','.join(cells)},{_stat_cells(post, mass, p)}\n")
             previous = post
     summary_path = directory / SUMMARY_NAME
     blob = json.dumps(summarize(trace), sort_keys=True, indent=2) + "\n"
@@ -120,11 +122,12 @@ def config_dict(config: GameConfig) -> dict:
 
 
 def summarize(trace: Trace) -> dict:
+    last = trace.records[-1].post if trace.records else trace.initial
     summary = {
         "config": config_dict(trace.config),
         "steps_executed": trace.steps_executed,
         "max_backlog": exact_and_decimal(trace.max_backlog()),
-        "final_backlog": exact_and_decimal(trace.backlog_series()[-1]),
+        "final_backlog": exact_and_decimal(last.backlog()),
         "empirical_M": exact_and_decimal(trace.empirical_M()),
         "record_setting_steps": record_setting_steps(trace),
         "violation": None,
@@ -239,6 +242,11 @@ def read_trace(directory) -> Trace:
     records = []
     if len(rows) % 2:
         raise ValueError(f"{trace_path}: dangling intermediate row at end of trace")
+    if len(rows) // 2 > config.steps:
+        raise ValueError(
+            f"{summary_path}: steps is {config.steps}, but {trace_path} holds "
+            f"{len(rows) // 2} steps"
+        )
     for t in range(1, len(rows) // 2 + 1):
         inter_row, post_row = rows.pop(), rows.pop()
         if inter_row[:2] != [str(t), "inter"] or post_row[:2] != [str(t), "post"]:
@@ -257,6 +265,9 @@ def read_trace(directory) -> Trace:
             except ValueError:
                 where = f"{trace_path}: line {2 * t + 2}: step {t}"
                 raise ValueError(f"malformed selection {post_row[2]!r}") from None
+            if post_row[3] not in ("0", "1"):
+                where = f"{trace_path}: line {2 * t + 2}: step {t}"
+                raise ValueError(f"malformed skip flag {post_row[3]!r}")
             empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
             problems = validate_fill(fill, config, previous)
             problems += validate_empty(empty, config)
@@ -280,10 +291,14 @@ def read_trace(directory) -> Trace:
         previous = post
     trace = Trace(config=config, initial=initial, records=records, violation=violation)
     for key, value in summarize(trace).items():
-        if key not in ("config", "violation") and summary.get(key) != value:
+        if key in ("config", "violation"):
+            continue
+        # JSON text compares types too: 25.0 or true is not the replay's 25 or 1
+        recorded, replayed = (json.dumps(x, sort_keys=True) for x in (summary.get(key), value))
+        if recorded != replayed:
             raise ValueError(
-                f"{summary_path}: {key} is {json.dumps(summary.get(key), sort_keys=True)}, "
-                f"but the replay of {trace_path} gives {json.dumps(value, sort_keys=True)}"
+                f"{summary_path}: {key} is {recorded}, but the replay of {trace_path} "
+                f"gives {replayed}"
             )
     abort = trace.steps_executed + 1  # the only step a run can have aborted at
     if violation is not None and not (

@@ -298,6 +298,70 @@ def test_check_empty_trace_csv_exits_2(tmp_path, capsys):
     assert "trace.csv" in capsys.readouterr().err
 
 
+def _game_with_summary(tmp_path, edit):
+    """A 25-step n=6 p=2 game whose summary.json went through edit(summary)."""
+    src = tmp_path / "game"
+    run_cli("run", "--n", 6, "--p", 2, "--steps", 25, "--filler", "random:1/2", "--out", src)
+    path = src / "summary.json"
+    summary = json.loads(path.read_text())
+    edit(summary)
+    path.write_text(json.dumps(summary))
+    return src
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", 6.0), ("p", 2.0), ("steps", 25.0), ("seed", 1.5), ("p", True), ("seed", False)],
+    ids=["float-n", "float-p", "float-steps", "float-seed", "bool-p", "bool-seed"],
+)
+def test_check_rejects_a_config_entry_that_is_not_an_int(tmp_path, capsys, key, value):
+    src = _game_with_summary(tmp_path, lambda summary: summary["config"].update({key: value}))
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert "summary.json" in err
+    assert f"{key} must be an integer" in err
+    assert not (src / "report.json").exists()
+
+
+def test_check_rejects_fewer_config_steps_than_the_trace_holds(tmp_path, capsys):
+    src = _game_with_summary(tmp_path, lambda summary: summary["config"].update(steps=3))
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert "summary.json: steps is 3" in err
+    assert "holds 25 steps" in err
+
+
+@pytest.mark.parametrize("key", ["steps_executed", "record_setting_steps"])
+def test_check_compares_summary_types_as_well_as_values(tmp_path, capsys, key):
+    def edit(summary):  # 25.0 == 25, but a float is not what the replay gives
+        value = summary[key]
+        summary[key] = float(value) if key == "steps_executed" else [float(t) for t in value]
+
+    src = _game_with_summary(tmp_path, edit)
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert f"summary.json: {key} is 25.0" in err or f"summary.json: {key} is [1.0" in err
+
+
+@pytest.mark.parametrize("flag", ["", "2", "x", " 0", "00"])
+def test_check_rejects_a_post_row_skip_flag_other_than_0_or_1(tmp_path, capsys, flag):
+    src = _game_with_summary(tmp_path, lambda summary: None)
+    path = src / "trace.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")  # line 4: the step 1 post row
+    assert cells[:2] == ["1", "post"] and cells[3] == "0"
+    cells[3] = flag
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert f"line 4: step 1: malformed skip flag {flag!r}" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -142,7 +142,7 @@ class TestRunLoop:
             fills[target] -= min(Fraction(1), fills[target])
             expected.append(max(fills))
         trace = play(2, 1, 100, filler=ConstantFiller({1: rat(1, 2), 2: rat(1, 2)}))
-        assert trace.backlog_series()[1:] == expected
+        assert [record.post.backlog() for record in trace.records] == expected
         assert trace.max_backlog() <= 1
 
     def test_zero_filler_stays_zero(self):
@@ -325,17 +325,16 @@ class TestEngineProperties:
     @given(small_games())
     def test_derived_series_recomputable(self, config):
         trace = run_game(config)
-        series = trace.backlog_series()
-        recomputed = [state.backlog() for state in trace.states()]
-        assert series == recomputed
-        assert trace.max_backlog() == max(recomputed)
+        states = trace.states()
+        assert trace.max_backlog() == max(state.backlog() for state in states)
+        assert trace.empirical_M() == max(state.prefix_stats(config.p)[1] for state in states)
 
     def test_max_backlog_compares_states_across_denominators(self):
         # the fullest post state, 7/6, has neither the largest den nor the last
         posts = [rat(9, 10), rat(7, 6), rat(1)]
         trace = forge(2, 1, "greedy", [({}, [fill, 0], [], [fill, 0]) for fill in posts])
         assert [state.den for state in trace.states()] == [1, 10, 6, 1]
-        assert trace.max_backlog() == rat(7, 6) == max(trace.backlog_series())
+        assert trace.max_backlog() == rat(7, 6) == max(s.backlog() for s in trace.states())
 
 
 @pytest.mark.parametrize("spec", ["random:1/2", "harmonic", "growth"])

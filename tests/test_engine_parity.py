@@ -149,7 +149,7 @@ def assert_engines_agree(config, make):
     assert len(trace.records) == len(records)
     assert trace.violation == violation
     fills = [initial] + [ref.post.fills for ref in records]
-    assert trace.backlog_series() == [max(f) for f in fills]
+    assert [state.backlog() for state in trace.states()] == [max(f) for f in fills]
     return trace
 
 

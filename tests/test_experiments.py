@@ -136,8 +136,8 @@ def test_svg_embeds_exact_series():
     desc = art.split("<desc>")[1].split("</desc>")[0]
     from cupgame.rational import format_rat
 
-    for value in trace.backlog_series():
-        assert format_rat(value) in desc
+    series = " ".join(format_rat(state.backlog()) for state in trace.states())
+    assert desc == f"t=0..{trace.steps_executed} backlog {series}"
 
 
 def test_svg_deterministic():

@@ -206,7 +206,7 @@ def test_record_setting_steps_match_direct_scan():
         n=6, p=2, steps=120, seed=7, filler="random:3/5", emptier="greedy"
     )
     trace = run_game(config)
-    series = trace.av_series()
+    series = [state.prefix_stats(config.p)[1] for state in trace.states()]
     expected = [
         t
         for t in range(1, len(series))
@@ -457,7 +457,8 @@ def test_integer_fill_dominates_next_level_activity():
 
 def test_empirical_m_matches_series_max():
     trace = smoothed_run(seed=47, steps=80)
-    assert trace.empirical_M() == max(trace.av_series())
+    p = trace.config.p
+    assert trace.empirical_M() == max(state.prefix_stats(p)[1] for state in trace.states())
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,10 @@ class TestRankQueries:
             )
         assert state.top_cups(n) == tuple(reference)
         assert state.top_cups(k) == tuple(reference[:k])
+        # the values of the ranking, whatever its tie order
+        assert [rat(x, state.den) for x in state.top_scaled(k)] == [
+            fills[j - 1] for j in reference[:k]
+        ]
 
 
 class TestPrefixAndSubsetStats:

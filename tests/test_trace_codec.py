@@ -1,8 +1,10 @@
 """Differential test: the delta trace codec against the full-row codec it replaced.
 
-The oracle is the previous codec, kept here verbatim: `_row` formats every
-cup of every row for csv.writer, and `_scaled_row` parses every cup of every
-row, carrying the denominator as an lcm from row to row.  The delta codec
+The oracle is the previous codec, kept here: `_row` formats every cup of
+every row for csv.writer, with the `backlog`/`av_p` cells rendered from the
+Fraction statistics by the `decimal`-context oracle of test_integer_stats.py,
+and `_scaled_row` parses every cup of every row, carrying the denominator as
+an lcm from row to row.  The delta codec
 must write the same trace.csv bytes and parse the same (scaled, den) for
 every row, while it formats only the cups whose ints changed (every cup of
 the t=0 row and of a row whose den changed) and parses only the cells whose
@@ -19,11 +21,12 @@ import pytest
 
 from cupgame import traceio
 from cupgame.engine import GameConfig, run_game
-from cupgame.rational import rat, to_decimal
+from cupgame.rational import rat
 from cupgame.traceio import read_trace, write_trace
 
 from conftest import forge
 from test_acceptance import FUZZ_CONFIGS, _forged_breaches
+from test_integer_stats import oracle_to_decimal as to_decimal
 
 
 # ---------------------------------------------------------------------------
@@ -50,17 +53,16 @@ def oracle_trace_csv(trace) -> bytes:
     header.extend(f"cup_{cup}" for cup in range(1, n + 1))
     header.extend(["backlog", "av_p"])
     writer.writerow(header)
-    backlogs, avs = trace.backlog_series(), trace.av_series()
-    writer.writerow(_row(0, "post", trace.initial, backlogs[0], avs[0]))
-    for index, record in enumerate(trace.records, start=1):
-        inter = record.intermediate
+    initial = trace.initial
+    writer.writerow(_row(0, "post", initial, initial.backlog(), initial.prefix_stats(p)[1]))
+    for record in trace.records:
+        inter, post = record.intermediate, record.post
         av = inter.prefix_stats(p)[1]
         writer.writerow(_row(record.t, "inter", inter, inter.backlog(), av))
         selected = " ".join(str(cup) for cup in record.empty.cups)
         skip = "1" if record.empty.skip_under_one else "0"
-        writer.writerow(
-            _row(record.t, "post", record.post, backlogs[index], avs[index], selected, skip)
-        )
+        av = post.prefix_stats(p)[1]
+        writer.writerow(_row(record.t, "post", post, post.backlog(), av, selected, skip))
     return handle.getvalue().encode()
 
 
