@@ -74,6 +74,10 @@ class GameConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("filler", "emptier"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a spec string, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.p <= self.n:
@@ -191,7 +195,7 @@ class Trace:
     records: list[StepRecord]
     violation: Violation | None = None
     _masses: list = field(default=None, repr=False, compare=False)
-    _max_backlog: object = field(default=None, repr=False, compare=False)
+    _maxima: list = field(default=None, repr=False, compare=False)
 
     @property
     def steps_executed(self) -> int:
@@ -201,16 +205,19 @@ class Trace:
         """Post states S_0..S_T."""
         return [self.initial] + [record.post for record in self.records]
 
+    def maxima(self) -> list:
+        """(max, den) per post state S_0..S_T: the backlog of S_t is max / den."""
+        if self._maxima is None:
+            self._maxima = [(max(state.scaled), state.den) for state in self.states()]
+        return self._maxima
+
     def max_backlog(self):
         """Largest backlog of any post state, compared as ints across dens."""
-        if self._max_backlog is None:
-            top, den = 0, 1
-            for state in self.states():
-                fill = max(state.scaled)
-                if fill * den > top * state.den:
-                    top, den = fill, state.den
-            self._max_backlog = rat(top, den)
-        return self._max_backlog
+        top, den = 0, 1
+        for fill, fill_den in self.maxima():
+            if fill * den > top * fill_den:
+                top, den = fill, fill_den
+        return rat(top, den)
 
     def top_masses(self) -> list:
         """(mass, den) per post state S_0..S_T: av_p(S_t) = mass / (den * p).

@@ -16,10 +16,10 @@ fill by exactly one per drained cup, which is what makes T^(i) obey an exact
 conservation law under the skip-under-one emptier.
 
 The checkers read the cup states' ints (state.py): a fill is scaled/den, so
-floors are scaled // den and comparisons cross-multiply.  Values that meet
-across states (deposit sums, offsets) are put over one trace denominator D,
-the lcm of every state's den and every deposit's denominator.  A rational is
-built only for a witness or a report parameter.
+floors are scaled // den and comparisons cross-multiply.  Deposit sums and
+offsets are put over one trace denominator D, the lcm of every state's den
+and every deposit's, and summed as the checkers walk: no checker tables the
+trace.  A rational is built only for a witness or a report parameter.
 """
 
 from __future__ import annotations
@@ -174,9 +174,9 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
     n, p = trace.config.n, trace.config.p
     params = {"n": n, "p": p}
     floor_rank = min(p + 1, n)
-    ranked = [(state.den, state.top_scaled(floor_rank)) for state in trace.states()]
-    for t in range(1, len(ranked)):
-        (prev_den, prev), (den, cur) = ranked[t - 1], ranked[t]
+    prev_den, prev = trace.initial.den, trace.initial.top_scaled(floor_rank)
+    for t, record in enumerate(trace.records, start=1):
+        den, cur = record.post.den, record.post.top_scaled(floor_rank)
         low = cur[floor_rank - 1]
         for j in range(1, min(p, n) + 1):
             fill = cur[j - 1]
@@ -193,6 +193,7 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
                         "rank_fill_p_plus_1": rat(low, den),
                     },
                 )
+        prev_den, prev = den, cur
     return InvariantReport("cup-reset", True, params)
 
 
@@ -303,17 +304,17 @@ def level_series(trace: Trace, level: int) -> LevelStats:
     a0, t0 = _state_level_numbers(trace.initial, level)
     active.append(a0)
     integer_fill.append(t0)
-    den, deposits = _deposits(trace)
+    den = _trace_den(trace)
     gate = 2 * (level - 1) * den
     previous = trace.initial
-    for record, deposit in zip(trace.records, deposits):
+    for record in trace.records:
         count = 0
         cups = []
-        scale = den // previous.den
+        scale, step = den // previous.den, den // record.fill.den
         fills = previous.scaled
-        for cup, amount in deposit:
+        for cup, amount in record.fill.scaled:
             before = max(fills[cup - 1] * scale - gate, 0)  # h^(i) over D
-            hit = (before + amount) // den - max(before // den, 1)
+            hit = (before + amount * step) // den - max(before // den, 1)
             if hit > 0:
                 count += hit
                 cups.append(cup)
@@ -339,38 +340,13 @@ def max_level(trace: Trace) -> int:
     return max(1, floor_rat(trace.max_backlog() / 2) + 1)
 
 
-def _deposits(trace: Trace):
-    """(D, deposits): deposits[t-1] holds step t's (cup, amount * D) pairs.
+def _trace_den(trace: Trace) -> int:
+    """D, the lcm of every state's den and every deposit's denominator.
 
-    D is the lcm of every state's den and every deposit's denominator.  The
-    last state's den would not do: a forged trace's dens need not grow.
+    The last state's den would not do: a forged trace's dens need not grow.
     """
-    cache = _level_cache.setdefault(trace, {})
-    if "deposits" not in cache:
-        dens = {state.den for state in trace.states()}
-        dens.update(record.fill.den for record in trace.records)
-        den = math.lcm(*dens)
-        deposits = []
-        for record in trace.records:
-            scale = den // record.fill.den
-            deposits.append([(cup, amount * scale) for cup, amount in record.fill.scaled])
-        cache["deposits"] = den, deposits
-    return cache["deposits"]
-
-
-def _deposit_cumsums(trace: Trace):
-    """(D, cums): cums[t][cup-1] = D times the total deposited into cup in steps 1..t."""
-    cache = _level_cache.setdefault(trace, {})
-    if "cumsums" not in cache:
-        den, deposits = _deposits(trace)
-        running = [0] * trace.config.n
-        cums = [tuple(running)]
-        for deposit in deposits:
-            for cup, amount in deposit:
-                running[cup - 1] += amount
-            cums.append(tuple(running))
-        cache["cumsums"] = den, cums
-    return cache["cumsums"]
+    dens = {den for record in trace.records for den in (record.post.den, record.fill.den)}
+    return math.lcm(trace.initial.den, *dens)
 
 
 def _log2(n: int):
@@ -467,13 +443,14 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
     heavy iff s(t1) >= s(t0 - 1).  A sliding maximum of s over each window
     (a monotone deque, O(T) in all) skips every t0 whose window holds no
     heavy interval; the scan of the others, and so the witness, is unchanged.
+    Deposits per cup are summed from t0 only as far as a heavy [t0, t1] needs.
     """
     _require(trace, "working-set")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     p = trace.config.p
     stats = level_series(trace, level)
-    den, cums = _deposit_cumsums(trace)
+    den = _trace_den(trace)
     params = {"level": level, "window": window}
     steps = trace.steps_executed
     s = list(accumulate((count - p for count in stats.crossings[1:]), initial=0))
@@ -492,6 +469,8 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
     for t0 in reversed(starts):
         crossings = 0
         cups: set[int] = set()
+        sums = [0] * (trace.config.n + 1)  # D times each cup's deposits over t0..upto
+        upto = t0 - 1
         for t1 in range(t0, min(steps, t0 + window - 1) + 1):
             crossings += stats.crossings[t1]
             if stats.crossing_cups[t1]:
@@ -513,8 +492,12 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
                         "cups": sorted(cups),
                     },
                 )
-            before, after = cums[t0 - 1], cums[t1]
-            deposits = sum(after[cup - 1] - before[cup - 1] for cup in cups)
+            for record in trace.records[upto:t1]:  # bring the sums up to t1
+                step = den // record.fill.den
+                for cup, amount in record.fill.scaled:
+                    sums[cup] += amount * step
+            upto = t1
+            deposits = sum(sums[cup] for cup in cups)
             required = p * length - len(cups)
             if deposits < required * den:
                 return InvariantReport(
@@ -535,16 +518,18 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
 def check_fractional_preservation(trace: Trace) -> InvariantReport:
     """Fill minus offset minus cumulative deposit stays an integer per cup."""
     _require(trace, "fractional")
-    den, cums = _deposit_cumsums(trace)
+    den = _trace_den(trace)
     start = trace.initial
-    offsets = [scaled * (den // start.den) for scaled in start.scaled]
+    # D times each cup's offset plus its deposits so far
+    expected = [scaled * (den // start.den) for scaled in start.scaled]
     params = {"n": trace.config.n}
     for t, record in enumerate(trace.records, start=1):
+        step = den // record.fill.den
+        for cup, amount in record.fill.scaled:
+            expected[cup - 1] += amount * step
         scale = den // record.post.den
-        for cup, (fill, offset, cum) in enumerate(
-            zip(record.post.scaled, offsets, cums[t]), start=1
-        ):
-            delta = fill * scale - offset - cum
+        for cup, (fill, base) in enumerate(zip(record.post.scaled, expected), start=1):
+            delta = fill * scale - base
             if delta % den:
                 return InvariantReport(
                     "fractional",

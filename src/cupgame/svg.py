@@ -19,13 +19,12 @@ PLOT_H = HEIGHT - 2 * MARGIN
 
 
 def backlog_svg(trace) -> str:
-    states = trace.states()
-    last = len(states) - 1
+    maxima = trace.maxima()
+    last = len(maxima) - 1
     ymax = max(1, floor_rat(trace.max_backlog()) + 1)
     points = []
     exact = []  # each backlog in lowest terms
-    for t, state in enumerate(states):
-        top, den = max(state.scaled), state.den
+    for t, (top, den) in enumerate(maxima):
         common = gcd(top, den)
         exact.append(f"{top // common}/{den // common}")
         x = MARGIN + (t * PLOT_W) // max(last, 1)

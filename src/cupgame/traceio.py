@@ -10,10 +10,11 @@ read back.
 
 Rows are coded as deltas from the row above.  The writer reformats only
 the cups whose ints changed (every cup when den changed) and streams each
-line to the file.  The reader parses and checks only the cells whose text
-changed; any other cell is text-identical to the verified cell of the same
-cup one row up, so it keeps that int, rescaled to the new den.  A cup's
-lowest-terms text depends only on its value, so the delta changes no byte.
+line to the file.  The reader replays each row as it reads it, and parses
+and checks only the cells whose text changed; any other cell is
+text-identical to the verified cell of the same cup one row up, so it keeps
+that int, rescaled to the new den.  A cup's lowest-terms text depends only
+on its value, so the delta changes no byte.
 
 summary.json records the config, run totals, and any abort, and is the
 authoritative source of the config when re-loading a trace directory.
@@ -41,6 +42,7 @@ from .engine import (
     Trace,
     Violation,
     apply_empty,
+    parse_spec,
     validate_empty,
     validate_fill,
 )
@@ -68,10 +70,10 @@ def _update_cells(cells: list, before, state: CupState):
         cells[cup] = f"{scaled[cup] // common}/{den // common}"
 
 
-def _stat_cells(state: CupState, mass: int, p: int) -> str:
-    """The backlog and av_p cells of a state whose top-p ints sum to mass."""
-    den = state.den
-    return f"{to_decimal(max(state.scaled), den)},{to_decimal(mass, den * p)}"
+def _stat_cells(top: int, mass: int, den: int, p: int) -> str:
+    """The backlog and av_p cells of a state over den: its largest int is
+    top, and its p largest sum to mass."""
+    return f"{to_decimal(top, den)},{to_decimal(mass, den * p)}"
 
 
 def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
@@ -86,20 +88,24 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
         header.extend(f"cup_{cup}" for cup in range(1, n + 1))
         header.extend(["backlog", "av_p"])
         write(",".join(header) + "\n")
-        masses = trace.top_masses()  # the post rows' av_p, as summarize reads it
+        # the post rows' backlog and av_p, as summarize and backlog_svg read them
+        tops, masses = trace.maxima(), trace.top_masses()
         cells = [""] * n
         _update_cells(cells, None, trace.initial)
-        write(f"0,post,,,{','.join(cells)},{_stat_cells(trace.initial, masses[0][0], p)}\n")
+        stats = _stat_cells(tops[0][0], masses[0][0], trace.initial.den, p)
+        write(f"0,post,,,{','.join(cells)},{stats}\n")
         previous = trace.initial
-        for record, (mass, _) in zip(trace.records, masses[1:]):
+        for record, (top, _), (mass, _) in zip(trace.records, tops[1:], masses[1:]):
             t, inter, post = record.t, record.intermediate, record.post
             _update_cells(cells, previous, inter)
-            stats = _stat_cells(inter, sum(inter.top_scaled(p)), p)
+            ranked = inter.top_scaled(p)
+            stats = _stat_cells(ranked[0], sum(ranked), inter.den, p)
             write(f"{t},inter,,,{','.join(cells)},{stats}\n")
             _update_cells(cells, inter, post)
             selected = " ".join(str(cup) for cup in record.empty.cups)
             skip = "1" if record.empty.skip_under_one else "0"
-            write(f"{t},post,{selected},{skip},{','.join(cells)},{_stat_cells(post, mass, p)}\n")
+            stats = _stat_cells(top, mass, post.den, p)
+            write(f"{t},post,{selected},{skip},{','.join(cells)},{stats}\n")
             previous = post
     summary_path = directory / SUMMARY_NAME
     blob = json.dumps(summarize(trace), sort_keys=True, indent=2) + "\n"
@@ -142,7 +148,10 @@ def summarize(trace: Trace) -> dict:
 
 
 def _config_from_dict(data: dict) -> GameConfig:
-    return GameConfig(
+    from .emptiers import _EMPTIERS  # as run_game does: cli's start-up skips both
+    from .fillers import _FILLERS
+
+    config = GameConfig(
         n=data["n"],
         p=data["p"],
         steps=data["steps"],
@@ -152,6 +161,13 @@ def _config_from_dict(data: dict) -> GameConfig:
         truncation=data["truncation"],
         visibility=data["visibility"],
     )
+    # loading never builds the strategies: the filler's spec is parsed, and
+    # only the emptier's name is looked up, so a saved threshold-blind:L,C
+    # (the spec took L,C once) still loads
+    parse_spec(config.filler, _FILLERS, "filler")
+    if config.emptier.partition(":")[0].strip() not in _EMPTIERS:
+        raise ConfigError(f"unknown emptier spec {config.emptier!r}")
+    return config
 
 
 def _scaled_cells(cells, before, previous: CupState):
@@ -190,6 +206,23 @@ def _scaled_cells(cells, before, previous: CupState):
     return tuple(scaled), den, changed
 
 
+def _rows(reader, trace_path, expected: int):
+    """The data rows in file order, each checked for its cell count when read."""
+    for line, row in enumerate(reader, start=2):
+        if len(row) != expected:
+            raise ValueError(f"{trace_path}: line {line}: {len(row)} cells, not {expected}")
+        yield row
+
+
+def _check_no_selection(row, trace_path, line: int, t: int):
+    """The t=0 and inter rows carry no emptier move: both cells are empty."""
+    if row[2] or row[3]:
+        raise ValueError(
+            f"{trace_path}: line {line}: step {t}: {row[1]} row's selected and skip "
+            f"cells must be empty, not {row[2]!r} and {row[3]!r}"
+        )
+
+
 def read_trace(directory) -> Trace:
     """Rebuild a Trace from a directory written by write_trace.
 
@@ -199,6 +232,9 @@ def read_trace(directory) -> Trace:
     Any breach raises ValueError naming the step.  Every summary.json entry
     but config and violation must also be the replay's summarize value, and
     a recorded violation must be an abort at the step after the last one.
+
+    Each (inter, post) pair of rows is replayed as it is read; only a
+    misnumbered or surplus step reads on, counting rows to name the fault.
 
     Rows are read as ints over one denominator, carried forward as an lcm as
     the engine's is, so a cup that drains never shrinks it; each replayed
@@ -225,70 +261,71 @@ def read_trace(directory) -> Trace:
         expected = 4 + n + 2
         if len(header) != expected or header[:4] != ["t", "stage", "selected", "skip"]:
             raise ValueError(f"{trace_path}: unexpected header for n={n}: {header}")
-        rows = list(reader)
-    for line, row in enumerate(rows, start=2):
-        if len(row) != expected:
-            raise ValueError(f"{trace_path}: line {line}: {len(row)} cells, not {expected}")
-    if not rows or rows[0][:2] != ["0", "post"]:
-        raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
-
-    rows.reverse()  # popped in file order, so each row's text is freed once replayed
-    cells = rows.pop()[4 : 4 + n]
-    try:  # against no text and n empty cups, every cell is parsed
-        scaled, den, _ = _scaled_cells(cells, [None] * n, CupState._wrap((0,) * n, 1))
-    except ValueError as err:
-        raise ValueError(f"{trace_path}: line 2: {err}") from None
-    initial = previous = CupState._wrap(scaled, den)
-    records = []
-    if len(rows) % 2:
-        raise ValueError(f"{trace_path}: dangling intermediate row at end of trace")
-    if len(rows) // 2 > config.steps:
-        raise ValueError(
-            f"{summary_path}: steps is {config.steps}, but {trace_path} holds "
-            f"{len(rows) // 2} steps"
-        )
-    for t in range(1, len(rows) // 2 + 1):
-        inter_row, post_row = rows.pop(), rows.pop()
-        if inter_row[:2] != [str(t), "inter"] or post_row[:2] != [str(t), "post"]:
-            raise ValueError(f"{trace_path}: line {2 * t + 1}: malformed step {t} rows")
-        where = f"step {t}"
-        try:
-            inter_cells = inter_row[4 : 4 + n]
-            scaled, den, changed = _scaled_cells(inter_cells, cells, previous)
-            inter = CupState._wrap(scaled, den)
-            # a cup whose text did not change got no deposit
-            scale, before = den // previous.den, previous.scaled
-            deposits = ((cup + 1, scaled[cup] - before[cup] * scale) for cup in changed)
-            fill = FillMove._wrap(tuple(pair for pair in deposits if pair[1]), den)
-            try:
-                selected = tuple(int(cup) for cup in post_row[2].split())
-            except ValueError:
-                where = f"{trace_path}: line {2 * t + 2}: step {t}"
-                raise ValueError(f"malformed selection {post_row[2]!r}") from None
-            if post_row[3] not in ("0", "1"):
-                where = f"{trace_path}: line {2 * t + 2}: step {t}"
-                raise ValueError(f"malformed skip flag {post_row[3]!r}")
-            empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
-            problems = validate_fill(fill, config, previous)
-            problems += validate_empty(empty, config)
-            if problems:
-                raise ValueError("; ".join(problems))
-            post, drained = apply_empty(inter, empty)
-            cells = post_row[4 : 4 + n]
-            scaled, den, _ = _scaled_cells(cells, inter_cells, inter)
-            if den != post.den:  # the row's text needs a larger denominator
-                post = CupState._wrap(tuple(x * (den // post.den) for x in post.scaled), den)
-            if post.scaled != scaled:
-                raise ValueError("post row is not the replay of the selection")
+        rows = _rows(reader, trace_path, expected)
+        first = next(rows, None)
+        if first is None or first[:2] != ["0", "post"]:
+            raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
+        _check_no_selection(first, trace_path, 2, 0)
+        cells = first[4 : 4 + n]
+        try:  # against no text and n empty cups, every cell is parsed
+            scaled, den, _ = _scaled_cells(cells, [None] * n, CupState._wrap((0,) * n, 1))
         except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
-        records.append(
-            StepRecord(
-                t=t, fill=fill, intermediate=inter, empty=empty,
-                post=post, drained=drained,
+            raise ValueError(f"{trace_path}: line 2: {err}") from None
+        initial = previous = CupState._wrap(scaled, den)
+        records = []
+        for t, inter_row in enumerate(rows, start=1):
+            post_row = next(rows, None)
+            head = None if post_row is None else inter_row[:2] + post_row[:2]
+            if t > config.steps or head != [str(t), "inter", str(t), "post"]:
+                # a fault of the whole file comes first: count the step rows
+                held = 2 * t - (post_row is None) + sum(1 for _ in rows)
+                if held % 2:
+                    raise ValueError(f"{trace_path}: dangling intermediate row at end of trace")
+                if held // 2 > config.steps:
+                    raise ValueError(
+                        f"{summary_path}: steps is {config.steps}, but {trace_path} holds "
+                        f"{held // 2} steps"
+                    )
+                raise ValueError(f"{trace_path}: line {2 * t + 1}: malformed step {t} rows")
+            _check_no_selection(inter_row, trace_path, 2 * t + 1, t)
+            where = f"step {t}"
+            try:
+                inter_cells = inter_row[4 : 4 + n]
+                scaled, den, changed = _scaled_cells(inter_cells, cells, previous)
+                inter = CupState._wrap(scaled, den)
+                # a cup whose text did not change got no deposit
+                scale, before = den // previous.den, previous.scaled
+                deposits = ((cup + 1, scaled[cup] - before[cup] * scale) for cup in changed)
+                fill = FillMove._wrap(tuple(pair for pair in deposits if pair[1]), den)
+                try:
+                    selected = tuple(int(cup) for cup in post_row[2].split())
+                except ValueError:
+                    where = f"{trace_path}: line {2 * t + 2}: step {t}"
+                    raise ValueError(f"malformed selection {post_row[2]!r}") from None
+                if post_row[3] not in ("0", "1"):
+                    where = f"{trace_path}: line {2 * t + 2}: step {t}"
+                    raise ValueError(f"malformed skip flag {post_row[3]!r}")
+                empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
+                problems = validate_fill(fill, config, previous)
+                problems += validate_empty(empty, config)
+                if problems:
+                    raise ValueError("; ".join(problems))
+                post, drained = apply_empty(inter, empty)
+                cells = post_row[4 : 4 + n]
+                scaled, den, _ = _scaled_cells(cells, inter_cells, inter)
+                if den != post.den:  # the row's text needs a larger denominator
+                    post = CupState._wrap(tuple(x * (den // post.den) for x in post.scaled), den)
+                if post.scaled != scaled:
+                    raise ValueError("post row is not the replay of the selection")
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            records.append(
+                StepRecord(
+                    t=t, fill=fill, intermediate=inter, empty=empty,
+                    post=post, drained=drained,
+                )
             )
-        )
-        previous = post
+            previous = post
     trace = Trace(config=config, initial=initial, records=records, violation=violation)
     for key, value in summarize(trace).items():
         if key in ("config", "violation"):

@@ -362,6 +362,50 @@ def test_check_rejects_a_post_row_skip_flag_other_than_0_or_1(tmp_path, capsys, 
     assert f"line 4: step 1: malformed skip flag {flag!r}" in err
 
 
+@pytest.mark.parametrize(
+    "line, cell, text",
+    [(2, 2, "1"), (2, 3, "0"), (3, 2, "1 2"), (3, 3, "1"), (5, 3, "0")],
+    ids=["t0-selected", "t0-skip", "inter-selected", "inter-skip", "step-2-inter-skip"],
+)
+def test_check_rejects_text_in_cells_the_writer_leaves_empty(tmp_path, capsys, line, cell, text):
+    src = _game_with_summary(tmp_path, lambda summary: None)
+    path = src / "trace.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    assert cells[1] in ("post", "inter") and cells[2:4] == ["", ""]
+    cells[cell] = text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert f"trace.csv: line {line}: step {cells[0]}: {cells[1]} row's selected and skip " in err
+    assert not (src / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("filler", "no-such-filler", "unknown filler spec 'no-such-filler'"),
+        ("filler", True, "filler must be a spec string, got True"),
+        ("filler", 1.5, "filler must be a spec string, got 1.5"),
+        ("filler", [1], "filler must be a spec string, got [1]"),
+        ("filler", "random:x", "bad parameters in filler spec 'random:x'"),
+        ("emptier", "no-such-emptier", "unknown emptier spec 'no-such-emptier'"),
+        ("emptier", 7, "emptier must be a spec string, got 7"),
+    ],
+    ids=["unknown-filler", "bool-filler", "float-filler", "list-filler", "bad-parameter",
+         "unknown-emptier", "int-emptier"],
+)
+def test_check_rejects_a_strategy_spec_no_table_names(tmp_path, capsys, key, value, message):
+    src = _game_with_summary(tmp_path, lambda summary: summary["config"].update({key: value}))
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert "summary.json" in err and message in err
+    assert not (src / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

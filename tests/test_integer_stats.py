@@ -4,7 +4,8 @@ The oracles below are the previous implementations, kept here:
 `oracle_to_decimal` renders a rational in a `decimal.localcontext` per call,
 the av_p series is one Fraction per state (the top-p Fraction fills over p),
 `empirical_M` is its max and the record-setting steps compare its entries,
-and `oracle_working_set` is the O(T * window) scan of every t0.  The integer
+and `oracle_working_set` is the O(T * window) scan of every t0, reading
+deposit sums from the whole-trace table of `deposit_cumsums`.  The integer
 forms must give the same text, the same values and the same reports,
 witness included.
 """
@@ -12,6 +13,7 @@ witness included.
 from __future__ import annotations
 
 import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,6 @@ from cupgame.engine import GameConfig, run_game
 from cupgame.invariants import (
     SMOOTHED,
     InvariantReport,
-    _deposit_cumsums,
     check_working_set,
     level_series,
     max_level,
@@ -59,10 +60,28 @@ def oracle_record_setting_steps(trace) -> list:
     return result
 
 
+def deposit_cumsums(trace):
+    """(D, cums): cums[t][cup-1] = D times the total deposited into cup in steps 1..t.
+
+    D is the lcm of every state's den and every deposit's denominator.
+    """
+    dens = {state.den for state in trace.states()}
+    dens.update(record.fill.den for record in trace.records)
+    den = math.lcm(*dens)
+    running = [0] * trace.config.n
+    cums = [tuple(running)]
+    for record in trace.records:
+        scale = den // record.fill.den
+        for cup, amount in record.fill.scaled:
+            running[cup - 1] += amount * scale
+        cums.append(tuple(running))
+    return den, cums
+
+
 def oracle_working_set(trace, level, window):
     p = trace.config.p
     stats = level_series(trace, level)
-    den, cums = _deposit_cumsums(trace)
+    den, cums = deposit_cumsums(trace)
     params = {"level": level, "window": window}
     steps = trace.steps_executed
     for t0 in range(1, steps + 1):
