@@ -222,7 +222,9 @@ def cmd_montecarlo(args) -> int:
             threshold = parse_rat(args.threshold)
             shown = format_rat(threshold)
         else:
+            from .fillers import check_anti_greedy  # cli's start-up skips fillers
             c = parse_rat(args.c)
+            check_anti_greedy(args.ell, c)
             filler = args.filler if args.filler else f"anti-greedy:{args.ell},{format_rat(c)}"
             threshold = -1.5 + math.log(args.ell / float(c))
             shown = f"{threshold:.6f}"

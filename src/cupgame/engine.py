@@ -104,11 +104,11 @@ class FillMove:
     `scaled` holds (cup, deposit * den) pairs, zero deposits dropped.  The
     public constructor takes rationals and sets `den` to the lcm of their
     denominators; the stock fillers build the int form directly (_wrap).
-    Equality and hashing go by value, through the rational `amounts`, which
-    are built on first use.
+    A move holds only those ints.  Equality and hashing go by value, through
+    the rational `amounts`, which are built from them on each call.
     """
 
-    __slots__ = ("scaled", "den", "_amounts")
+    __slots__ = ("scaled", "den")
 
     def __init__(self, amounts):
         if hasattr(amounts, "items"):
@@ -127,7 +127,6 @@ class FillMove:
         self.scaled = tuple(
             (cup, amount.numerator * (den // amount.denominator)) for cup, amount in cleaned
         )
-        self._amounts = tuple(cleaned)
 
     @classmethod
     def _wrap(cls, scaled: tuple, den: int) -> "FillMove":
@@ -136,15 +135,12 @@ class FillMove:
         move = object.__new__(cls)
         move.scaled = scaled
         move.den = den
-        move._amounts = None
         return move
 
     @property
     def amounts(self) -> tuple:
         """The exact rational deposits, as sorted (cup, amount) pairs."""
-        if self._amounts is None:
-            self._amounts = tuple((cup, rat(deposit, self.den)) for cup, deposit in self.scaled)
-        return self._amounts
+        return tuple((cup, rat(deposit, self.den)) for cup, deposit in self.scaled)
 
     def __eq__(self, other):
         return isinstance(other, FillMove) and self.amounts == other.amounts

@@ -292,9 +292,13 @@ def _anchor_swap(config: GameConfig, rng, phases=None, rounds=None, steps=None):
     return SpreadShrinkFiller(config, rng, phases, rounds, steps, swaps=True)
 
 
-def _anti_greedy(config: GameConfig, rng, ell=8, c=rat(1, 2), phases=128):
+def check_anti_greedy(ell, c) -> None:
     if ell < 1 or c <= 0:
         raise ConfigError("anti-greedy needs ELL >= 1 and C > 0")
+
+
+def _anti_greedy(config: GameConfig, rng, ell=8, c=rat(1, 2), phases=128):
+    check_anti_greedy(ell, c)
     working_size = floor_rat(c * ell)
     if working_size < 2:
         raise ConfigError(

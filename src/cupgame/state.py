@@ -10,7 +10,7 @@ the cup ids by fill keeps tied cups in id order.
 Fills are Python ints `scaled` over one denominator `den`, so ranks, sums
 and maxima compare ints.  A state built from rationals starts `den` at the
 lcm of their denominators; engine steps keep or raise it (engine.py), so
-within a run it never shrinks.  The rational `fills` are built on first use.
+within a run it never shrinks.  The rational `fills` are built on each call.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .rational import ZERO, as_rat, rat
 
 
 class CupState:
-    """Immutable fills for cups 1..n with a cached rank order."""
+    """Immutable fills for cups 1..n, held as ints over one denominator."""
 
-    __slots__ = ("scaled", "den", "_fills", "_ranked")
+    __slots__ = ("scaled", "den")
 
     def __init__(self, fills):
         fills = tuple(as_rat(f) for f in fills)
@@ -34,8 +34,6 @@ class CupState:
             raise ValueError("a game needs at least one cup")
         self.den = den = lcm(*(fill.denominator for fill in fills))
         self.scaled = tuple(fill.numerator * (den // fill.denominator) for fill in fills)
-        self._fills = fills
-        self._ranked = None
 
     @classmethod
     def _wrap(cls, scaled: tuple, den: int) -> "CupState":
@@ -44,8 +42,6 @@ class CupState:
         state = object.__new__(cls)
         state.scaled = scaled
         state.den = den
-        state._fills = None
-        state._ranked = None
         return state
 
     @classmethod
@@ -61,53 +57,25 @@ class CupState:
     @property
     def fills(self) -> tuple:
         """The exact rational fills, cups 1..n."""
-        if self._fills is None:
-            self._fills = tuple(rat(scaled, self.den) for scaled in self.scaled)
-        return self._fills
+        return tuple(rat(scaled, self.den) for scaled in self.scaled)
 
     def fill_of(self, cup: int):
         if not 1 <= cup <= self.n:
             raise ValueError(f"cup id {cup} outside 1..{self.n}")
-        if self._fills is None:  # one cup's rational, not the whole tuple
-            return rat(self.scaled[cup - 1], self.den)
-        return self._fills[cup - 1]
-
-    def _rank_order(self):
-        """Cup ids, fullest first; the stable sort keeps ties in id order."""
-        if self._ranked is None:
-            ranked = sorted(range(self.n), key=self.scaled.__getitem__, reverse=True)
-            self._ranked = [index + 1 for index in ranked]
-        return self._ranked
+        return rat(self.scaled[cup - 1], self.den)
 
     def rank_fill(self, rank: int):
         """Fill of the rank-th fullest cup (rank 1 = fullest)."""
         if not 1 <= rank <= self.n:
             raise ValueError(f"rank {rank} outside 1..{self.n}")
-        return self.fill_of(self._rank_order()[rank - 1])
+        return self.fill_of(self.top_cups(rank)[-1])
 
     def top_cups(self, k: int) -> tuple[int, ...]:
         """The k fullest cup ids in rank order (ties toward smaller id)."""
         if not 0 <= k <= self.n:
             raise ValueError(f"k {k} outside 0..{self.n}")
-        if k == 0:
-            return ()
-        if self._ranked is not None or k > 8 or k == self.n:
-            return tuple(self._rank_order()[:k])
-        # insertion scan: cheaper than a full sort for the small k the
-        # emptier needs, and allocation free on the hot path
-        fills = self.scaled
-        top: list[int] = []
-        for cup in range(1, self.n + 1):
-            fill = fills[cup - 1]
-            if len(top) == k and not fill > fills[top[-1] - 1]:
-                continue
-            at = len(top)
-            while at > 0 and fills[top[at - 1] - 1] < fill:
-                at -= 1
-            top.insert(at, cup)
-            if len(top) > k:
-                top.pop()
-        return tuple(top)
+        ranked = sorted(range(self.n), key=self.scaled.__getitem__, reverse=True)
+        return tuple([index + 1 for index in ranked[:k]])
 
     def top_scaled(self, k: int) -> list:
         """The k largest scaled fills (over den), largest first.

@@ -1,6 +1,6 @@
-"""A seeded mutation fuzz of `cupgame check` over one saved trace.
+"""Seeded mutation fuzzes of `cupgame check` over saved traces.
 
-Each case edits one thing in the trace.csv of a 25-step n=6 p=2 game: a
+The first fuzz edits one thing in the trace.csv of a 25-step n=6 p=2 game: a
 cell swapped for one of a fixed token list, a dropped, swapped or quoted
 line, an extra cell, or a comma turned into a `;`.  No edit may raise a
 traceback, and an edit the reader accepts (exit 0 or 1) must be one of:
@@ -13,17 +13,27 @@ traceback, and an edit the reader accepts (exit 0 or 1) must be one of:
   fill), so an intermediate cell of a cup that the step drains to 0 can
   change without changing any post row; only an emptier-conformance check
   could tell that the emptier would have chosen otherwise.
+
+The second edits one entry of summary.json, of that game and of a game that
+aborts on a truncation breach: a key dropped or added, a value swapped for
+a token of another JSON type, or a nested `config`, `violation`,
+`max_backlog` or `record_setting_steps` entry changed.  No edit may raise a
+traceback, and an edit `check` accepts must be one the replay cannot
+contradict, or one of the known gaps listed in SUMMARY_GAPS.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from cupgame.cli import main
+from cupgame.engine import GameConfig, run_game
 
 N, P = 6, 2
 EDITS = 1000
@@ -142,3 +152,173 @@ def test_no_edit_of_a_trace_raises_or_loads_as_something_else(tmp_path, capsys):
     capsys.readouterr()
     assert not wrong, wrong[:3]
     assert exits[2] > 0.8 * EDITS  # most edits break the trace and are refused
+
+
+# ---------------------------------------------------------------------------
+# summary.json
+
+SUMMARY_TOKENS = [6.0, True, "x", [1], None]  # one of each other JSON type
+SUMMARY_VALUES = {
+    ("config", "n"): [5, 7, 0],
+    ("config", "p"): [1, 3, 6, 0],
+    ("config", "steps"): [0, 13, 14, 15, 24, 26, 1000, -1],
+    ("config", "seed"): [1, 2**64 - 1, -1, 2**64],
+    ("config", "filler"): [
+        "random:1/3", "growth", "zero", "harmonic", " random:1/2", "anti-greedy",
+        "random:2", "random:1/2,3", "no-such", "",
+    ],
+    ("config", "emptier"): [
+        "smoothed-greedy", "threshold-blind", "threshold-blind:1,1", "greedy:1", "nope", "",
+    ],
+    ("config", "visibility"): ["oblivious", "ADAPTIVE", ""],
+    ("config", "truncation"): ["2", "3/2", "4/2", "11/10", "1", "0", "1/0", "x", 6],
+    ("max_backlog", "exact"): ["1/3", "2/4", "0.5", "1", "5/6"],
+    ("max_backlog", "decimal"): ["0.50", "1", "0.833333333333333"],
+    ("final_backlog", "exact"): ["1/2", "0/2", "0", "1/1"],
+    ("empirical_M", "exact"): ["1/2", "2/8"],
+    ("record_setting_steps",): [[], [1, 2, 15], [2, 1, 15, 20], [1, 2, 3, 4], [1, 2, 15, 20.0]],
+    ("violation",): [{"step": 26, "source": "filler", "reasons": ["x"]}],
+    ("violation", "source"): ["emptier", "psychic", ""],
+    ("violation", "reasons"): [[], ["other"], ["a", "b"], [1], "abc"],
+}
+SEEDED_PER_INT = 4  # random ints drawn for each int entry
+DROP = object()  # the edit that deletes the entry
+
+# accepted edits the replay could contradict, or that break the writer's
+# types, which check does not yet refuse: (game, path, value as JSON)
+SUMMARY_GAPS = {
+    # the filler spec is parsed, never built: these specs parse, but `run`
+    # refuses them for n=6 p=2 (density above 1; ELL=8 > n - p)
+    *((game, ("config", "filler"), '"random:2"') for game in ("plain", "aborted")),
+    *((game, ("config", "filler"), '"anti-greedy"') for game in ("plain", "aborted")),
+    # a JSON number where the writer writes the truncation as text
+    *((game, ("config", "truncation"), "6") for game in ("plain", "aborted")),
+    # keys no reader looks at
+    *((game, ("extra",), "1") for game in ("plain", "aborted")),
+    *((game, ("config", "extra"), "1") for game in ("plain", "aborted")),
+    ("aborted", ("violation", "extra"), "1"),
+    # a violation's source and reasons are echoed, not checked, and a
+    # dropped violation reads as a run stopped early with no breach
+    ("aborted", ("violation",), "null"),
+    ("aborted", ("violation", "source"), '"emptier"'),
+    *(("aborted", ("violation", "reasons"), value) for value in ('[]', '["other"]', '["a", "b"]')),
+    *(("aborted", ("violation", "reasons", 0), value) for value in ("drop", '"x"')),
+}
+
+
+def entry_paths(value, path=()) -> list:
+    """The path of every key and list item below value, value's own first."""
+    paths = [path]
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    for key, item in value.items() if isinstance(value, dict) else ():
+        paths += entry_paths(item, path + (key,))
+    return paths
+
+
+def lookup(summary: dict, path: tuple):
+    for part in path:
+        summary = summary[part]
+    return summary
+
+
+def summary_edits(summary: dict, rng: random.Random) -> list:
+    """(path, value) edits, value DROP to delete the entry; each is applied alone."""
+    paths = entry_paths(summary)[1:]
+    edits = [(path, DROP) for path in paths]
+    edits += [(path, token) for path in paths for token in SUMMARY_TOKENS]
+    edits += [
+        (path, value)
+        for path, values in SUMMARY_VALUES.items()
+        if path in paths
+        for value in values
+    ]
+    edits += [
+        (path, rng.randrange(-2, 2 * summary["config"]["steps"]))
+        for path in paths
+        if type(lookup(summary, path)) is int
+        for _ in range(SEEDED_PER_INT)
+    ]
+    edits += [
+        (path + ("extra",), 1)
+        for path in entry_paths(summary)
+        if isinstance(lookup(summary, path), dict)
+    ]
+    return [edit for edit in edits if edit[1] is DROP or not same(summary, *edit)]
+
+
+def same(summary: dict, path: tuple, value) -> bool:
+    try:
+        return json.dumps(lookup(summary, path)) == json.dumps(value)
+    except KeyError:
+        return False
+
+
+def edited(summary: dict, path: tuple, value) -> dict:
+    summary = copy.deepcopy(summary)
+    parent = lookup(summary, path[:-1])
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return summary
+
+
+def runs(config: dict) -> bool:
+    """Whether `cupgame run` takes this config: it builds the strategies."""
+    try:
+        run_game(replace(GameConfig(**config), steps=0))
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def uncontradicted(summary: dict, path: tuple, value, top_inter: Fraction) -> bool:
+    """Whether the replay could not tell this config edit from the real run:
+    another valid seed, filler or emptier spec or visibility, a steps that
+    still holds every replayed step and the aborted one, or a truncation as
+    text (or none) that no replayed intermediate fill breaches."""
+    if path[0] != "config" or value is DROP or not runs(edited(summary, path, value)["config"]):
+        return False
+    if path[1] in ("seed", "filler", "emptier", "visibility"):
+        return True
+    if path[1] == "steps":
+        return value >= summary["steps_executed"] + (summary["violation"] is not None)
+    if path[1] == "truncation":
+        return value is None or type(value) is str and Fraction(value) >= top_inter
+    return False
+
+
+def test_no_edit_of_a_summary_raises_or_loads_as_another_run(tmp_path, capsys):
+    games = {
+        "plain": ["--filler", "random:1/2"],
+        # anchor-swap breaches the cap at step 15, so the run aborts there
+        "aborted": ["--filler", "anchor-swap", "--truncate", "3/2"],
+    }
+    rng = random.Random(2019)
+    gaps, wrong, exits = set(), [], {0: 0, 1: 0, 2: 0}
+    for game, flags in games.items():
+        src = tmp_path / game
+        argv = ["run", "--n", N, "--p", P, "--steps", 25, *flags, "--out", src]
+        assert main([str(arg) for arg in argv]) == 0
+        path = src / "summary.json"
+        summary = json.loads(path.read_text())
+        assert (summary["violation"] is None) == (game == "plain")
+        rows = list(csv.reader(io.StringIO((src / "trace.csv").read_text())))
+        top_inter = max(
+            Fraction(cell) for row in rows if row[1] == "inter" for cell in row[4 : 4 + N]
+        )
+        for entry, value in summary_edits(summary, rng):
+            path.write_text(json.dumps(edited(summary, entry, value), indent=2))
+            code = main(["check", str(src), "--out", str(tmp_path / "report")])
+            exits[code] += 1
+            if code != 2 and not uncontradicted(summary, entry, value, top_inter):
+                shown = "drop" if value is DROP else json.dumps(value)
+                if (game, entry, shown) in SUMMARY_GAPS:
+                    gaps.add((game, entry, shown))
+                else:
+                    wrong.append((game, entry, shown))
+    capsys.readouterr()
+    assert not wrong, wrong
+    assert gaps == SUMMARY_GAPS  # a gap check comes to refuse must leave the list
+    assert exits[2] > 0.7 * sum(exits.values())

@@ -493,6 +493,15 @@ def test_montecarlo_anti_greedy_runs(tmp_path):
     assert 0 <= parse_rat(report["frequency"]["exact"]) <= 1
 
 
+@pytest.mark.parametrize("bad", [["--c", "0"], ["--ell", "0"], ["--ell=-3"], ["--c=-1/2"]])
+def test_montecarlo_anti_greedy_rejects_bad_ell_or_c(bad, capsys):
+    # log(ELL / C) in the cutoff must not see these before the spec's checks do
+    code = run_cli("montecarlo", "anti-greedy-backlog", "--n", 8, "--p", 2,
+                   "--steps", 30, "--seeds", 100, *bad)
+    assert code == 2
+    assert "anti-greedy needs ELL >= 1 and C > 0" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -51,7 +51,7 @@ class TestRankQueries:
     @given(cup_states(), st.integers(0, 9))
     def test_top_cups_agrees_with_full_ranking(self, state, k):
         k = min(k, state.n)
-        top = state.top_cups(k)  # before the full ranking is cached
+        top = state.top_cups(k)  # a top-k prefix must match the full ranking
         assert top == state.top_cups(state.n)[:k]
         assert [state.fill_of(cup) for cup in top] == [
             state.rank_fill(i) for i in range(1, k + 1)
@@ -65,7 +65,7 @@ class TestRankQueries:
     )
     def test_tie_rule_matches_fill_then_id_key(self, fills, data):
         # reference: the explicit (fill desc, id asc) key; ties are frequent
-        # here and n up to 24 reaches both the k <= 8 scan and the full sort
+        # here, so the stable sort's id order decides most of the ranking
         n = len(fills)
         reference = sorted(range(1, n + 1), key=lambda j: (-fills[j - 1], j))
         k = data.draw(st.integers(0, n))
