@@ -198,8 +198,6 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    if args.seeds < 100:
-        raise ConfigError(f"montecarlo needs at least 100 seeds, got {args.seeds}")
     if args.experiment == "crossing-prob":
         y = parse_rat(args.y)
         frequency = crossing_probability_experiment([y], args.seeds)

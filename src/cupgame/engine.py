@@ -320,6 +320,17 @@ class AdaptiveView:
     state: CupState
 
 
+def build_filler(config: GameConfig, filler=None):
+    """filler, or config's own seeded as every run seeds it, if config's visibility suits it."""
+    if filler is None:
+        from .fillers import make_filler
+
+        filler = make_filler(config.filler, config, stream(config.seed, FILLER_LABEL))
+    if config.visibility == OBLIVIOUS and getattr(filler, "needs_adaptive", False):
+        raise ConfigError(f"filler {config.filler!r} needs adaptive visibility")
+    return filler
+
+
 def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -> Trace:
     """Play the configured game and return its trace.
 
@@ -328,16 +339,10 @@ def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -
     ends the run early (the lower-bound search uses it).
     """
     from .emptiers import make_emptier
-    from .fillers import make_filler
 
     if emptier is None:
         emptier = make_emptier(config.emptier)
-    if filler is None:
-        filler = make_filler(config.filler, config, stream(config.seed, FILLER_LABEL))
-    if config.visibility == OBLIVIOUS and getattr(filler, "needs_adaptive", False):
-        raise ConfigError(
-            f"filler {config.filler!r} needs adaptive visibility"
-        )
+    filler = build_filler(config, filler)
 
     offsets = emptier.initial_fills(config, stream(config.seed, OFFSET_LABEL))
     initial = CupState(offsets) if offsets is not None else CupState.zeros(config.n)

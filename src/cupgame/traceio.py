@@ -17,7 +17,8 @@ that int, rescaled to the new den.  A cup's lowest-terms text depends only
 on its value, so the delta changes no byte.
 
 summary.json records the config, run totals, and any abort, and is the
-authoritative source of the config when re-loading a trace directory.
+authoritative source of the config when re-loading a trace directory, which
+loads only if summary.json is exactly what run writes for the replay.
 Output bytes are deterministic: fixed column order, sorted JSON keys, LF
 line endings, no timestamps.
 """
@@ -42,7 +43,7 @@ from .engine import (
     Trace,
     Violation,
     apply_empty,
-    parse_spec,
+    build_filler,
     validate_empty,
     validate_fill,
 )
@@ -147,29 +148,6 @@ def summarize(trace: Trace) -> dict:
     return summary
 
 
-def _config_from_dict(data: dict) -> GameConfig:
-    from .emptiers import _EMPTIERS  # as run_game does: cli's start-up skips both
-    from .fillers import _FILLERS
-
-    config = GameConfig(
-        n=data["n"],
-        p=data["p"],
-        steps=data["steps"],
-        seed=data["seed"],
-        filler=data["filler"],
-        emptier=data["emptier"],
-        truncation=data["truncation"],
-        visibility=data["visibility"],
-    )
-    # loading never builds the strategies: the filler's spec is parsed, and
-    # only the emptier's name is looked up, so a saved threshold-blind:L,C
-    # (the spec took L,C once) still loads
-    parse_spec(config.filler, _FILLERS, "filler")
-    if config.emptier.partition(":")[0].strip() not in _EMPTIERS:
-        raise ConfigError(f"unknown emptier spec {config.emptier!r}")
-    return config
-
-
 def _scaled_cells(cells, before, previous: CupState):
     """A row's cup cells as (scaled, den, changed), given the previous row.
 
@@ -207,11 +185,15 @@ def _scaled_cells(cells, before, previous: CupState):
 
 
 def _rows(reader, trace_path, expected: int):
-    """The data rows in file order, each checked for its cell count when read."""
-    for line, row in enumerate(reader, start=2):
-        if len(row) != expected:
-            raise ValueError(f"{trace_path}: line {line}: {len(row)} cells, not {expected}")
-        yield row
+    """The rows in file order, header first, each data row checked for its cell
+    count when read; a line csv cannot parse (a cell over its size limit) too."""
+    try:
+        for line, row in enumerate(reader, start=1):
+            if len(row) != expected and line > 1:
+                raise ValueError(f"{trace_path}: line {line}: {len(row)} cells, not {expected}")
+            yield row
+    except csv.Error as err:
+        raise ValueError(f"{trace_path}: line {reader.line_num}: {err}") from None
 
 
 def _check_no_selection(row, trace_path, line: int, t: int):
@@ -229,9 +211,12 @@ def read_trace(directory) -> Trace:
     Every step is replayed, not trusted: the fill move (intermediate minus
     previous post) and the selection must be legal for the config, and the
     selection's removals must turn the intermediate row into the post row.
-    Any breach raises ValueError naming the step.  Every summary.json entry
-    but config and violation must also be the replay's summarize value, and
-    a recorded violation must be an abort at the step after the last one.
+    Any breach raises ValueError naming the step.  summary.json must be
+    exactly what write_trace writes for the replay, as JSON, every key
+    included.  What the replay cannot derive is checked as run would: the
+    config's filler is built and must suit its visibility, a run short of
+    the config's steps must record a filler or emptier abort with text
+    reasons at the step after the last one, and a full run no violation.
 
     Each (inter, post) pair of rows is replayed as it is read; only a
     misnumbered or surplus step reads on, counting rows to name the fault.
@@ -240,28 +225,32 @@ def read_trace(directory) -> Trace:
     the engine's is, so a cup that drains never shrinks it; each replayed
     move holds its deposits as ints over the intermediate row's.
     """
+    from .emptiers import _EMPTIERS  # as run_game does: cli's start-up skips it
+
     directory = Path(directory)
     summary_path = directory / SUMMARY_NAME
     try:
         summary = json.loads(summary_path.read_text())
-        config = _config_from_dict(summary["config"])
+        config = GameConfig(**summary["config"])
+        build_filler(config)
+        # only the emptier's name is looked up, so a saved threshold-blind:L,C
+        # (the spec took L,C once) still loads
+        if config.emptier.partition(":")[0].strip() not in _EMPTIERS:
+            raise ConfigError(f"unknown emptier spec {config.emptier!r}")
         raw = summary["violation"]
-        violation = None if raw is None else Violation(
-            step=raw["step"], source=raw["source"], reasons=tuple(raw["reasons"])
-        )
+        violation = None if raw is None else Violation(**{**raw, "reasons": tuple(raw["reasons"])})
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{summary_path}: missing or malformed entry {err}") from None
     n = config.n
     trace_path = directory / TRACE_NAME
     with trace_path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        expected = 4 + n + 2
+        rows = _rows(csv.reader(handle), trace_path, expected)
+        header = next(rows, None)
         if header is None:
             raise ValueError(f"{trace_path} is empty")
-        expected = 4 + n + 2
         if len(header) != expected or header[:4] != ["t", "stage", "selected", "skip"]:
             raise ValueError(f"{trace_path}: unexpected header for n={n}: {header}")
-        rows = _rows(reader, trace_path, expected)
         first = next(rows, None)
         if first is None or first[:2] != ["0", "post"]:
             raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
@@ -327,26 +316,30 @@ def read_trace(directory) -> Trace:
             )
             previous = post
     trace = Trace(config=config, initial=initial, records=records, violation=violation)
-    for key, value in summarize(trace).items():
-        if key in ("config", "violation"):
-            continue
-        # JSON text compares types too: 25.0 or true is not the replay's 25 or 1
-        recorded, replayed = (json.dumps(x, sort_keys=True) for x in (summary.get(key), value))
-        if recorded != replayed:
+    replayed = summarize(trace)
+    # summarize's keys in its order, then any it never writes; JSON text
+    # compares types too: 25.0 or true is not the replay's 25 or 1
+    for key in [*replayed, *(key for key in summary if key not in replayed)]:
+        recorded, written = (
+            json.dumps(document[key], sort_keys=True) if key in document else "absent"
+            for document in (summary, replayed)
+        )
+        if recorded != written:
             raise ValueError(
                 f"{summary_path}: {key} is {recorded}, but the replay of {trace_path} "
-                f"gives {replayed}"
+                f"gives {written}"
             )
-    abort = trace.steps_executed + 1  # the only step a run can have aborted at
-    if violation is not None and not (
-        type(violation.step) is int and violation.step == abort <= config.steps
+    abort = trace.steps_executed + 1  # a run short of its steps aborted here
+    aborted = abort <= config.steps
+    if (violation is not None) != aborted or aborted and not (
+        type(violation.step) is int and violation.step == abort
         and violation.source in ("filler", "emptier")
-        and type(raw["reasons"]) is list
         and all(type(reason) is str for reason in violation.reasons)
     ):
+        wanted = f"a filler or emptier abort at step {abort}, with text reasons"
         raise ValueError(
-            f"{summary_path}: violation must be null or name step {abort}, source "
-            f"filler or emptier and a list of reasons, not {json.dumps(raw)}"
+            f"{summary_path}: {trace_path} holds {abort - 1} of {config.steps} steps, so "
+            f"violation must be {wanted if aborted else 'null'}, not {json.dumps(raw)}"
         )
     return trace
 
@@ -363,10 +356,13 @@ def load_config_file(path) -> GameConfig:
 
     [game] holds n, p, steps and optional seed, truncate, visibility;
     [strategies] holds optional filler and emptier specs.  Unknown keys are
-    rejected so typos fail loudly.
+    rejected so typos fail loudly.  Values are taken as written (no "%").
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise ConfigError(f"{path}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "game" not in parser:

@@ -97,6 +97,26 @@ def test_run_oblivious_conflict_exits_2(tmp_path):
     assert run_cli("run", "--config", ini, "--out", tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[game]\nn = 4\nn = 5\np = 1\nsteps = 5\n",
+         "option 'n' in section 'game' already exists"),
+        ("[game]\nn = 4\np = 1\nsteps = 5\n[game]\nseed = 1\n", "section 'game' already exists"),
+        ("n = 4\np = 1\nsteps = 5\n", "File contains no section headers"),
+        ("[game]\nn = 4\np = 1\nsteps = 5\n[strategies]\nfiller = %(x)s\n",
+         "unknown filler spec '%(x)s'"),
+    ],
+    ids=["duplicate-option", "duplicate-section", "no-section-header", "interpolation"],
+)
+def test_run_malformed_config_file_exits_2(tmp_path, capsys, text, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert run_cli("run", "--config", ini, "--out", tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -290,6 +310,21 @@ def test_check_rejects_a_violation_the_replay_cannot_have(tmp_path, capsys, viol
     assert "summary.json" in capsys.readouterr().err
 
 
+def test_check_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys):
+    src = tmp_path / "game"
+    run_cli("run", "--n", 4, "--p", 1, "--steps", 3, "--filler", "random:1/2", "--out", src)
+    path = src / "trace.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[4] = "1" * 200_000  # csv's default field size limit is 131,072
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    assert "trace.csv: line 4: field larger than field limit" in capsys.readouterr().err
+    assert not (src / "report.json").exists()
+
+
 def test_check_empty_trace_csv_exits_2(tmp_path, capsys):
     src = tmp_path / "game"
     run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--out", src)
@@ -298,10 +333,10 @@ def test_check_empty_trace_csv_exits_2(tmp_path, capsys):
     assert "trace.csv" in capsys.readouterr().err
 
 
-def _game_with_summary(tmp_path, edit):
+def _game_with_summary(tmp_path, edit, flags=("--filler", "random:1/2")):
     """A 25-step n=6 p=2 game whose summary.json went through edit(summary)."""
     src = tmp_path / "game"
-    run_cli("run", "--n", 6, "--p", 2, "--steps", 25, "--filler", "random:1/2", "--out", src)
+    run_cli("run", "--n", 6, "--p", 2, "--steps", 25, *flags, "--out", src)
     path = src / "summary.json"
     summary = json.loads(path.read_text())
     edit(summary)
@@ -406,6 +441,88 @@ def test_check_rejects_a_strategy_spec_no_table_names(tmp_path, capsys, key, val
     assert not (src / "report.json").exists()
 
 
+# anchor-swap breaches the cap at step 15, so this 25-step game aborts there
+ABORTED = ("--filler", "anchor-swap", "--truncate", "3/2")
+
+
+@pytest.mark.parametrize(
+    "filler, key, value, message",
+    [  # each spec parses, but run refuses it at n=6 p=2 with this visibility
+        ("random:1/2", "filler", "random:2", "random filler density must be in [0, 1], got 2"),
+        ("random:1/2", "filler", "anti-greedy", "anti-greedy needs ELL <= n - p = 4"),
+        ("growth", "visibility", "oblivious", "filler 'growth' needs adaptive visibility"),
+    ],
+    ids=["random-density-2", "anti-greedy-ell-8", "oblivious-growth"],
+)
+def test_check_rejects_a_config_run_refuses(tmp_path, capsys, filler, key, value, message):
+    src = _game_with_summary(
+        tmp_path, lambda summary: summary["config"].update({key: value}), ("--filler", filler)
+    )
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert "summary.json" in err and message in err
+    assert not (src / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value, written", [(6, "6/1"), ("4/2", "2/1")], ids=["json-number", "not-lowest-terms"]
+)
+def test_check_rejects_a_truncation_run_does_not_write(tmp_path, capsys, value, written):
+    src = _game_with_summary(
+        tmp_path, lambda summary: summary["config"].update(truncation=value), ABORTED
+    )
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert 'summary.json: config is {"emptier": "greedy", "filler": "anchor-swap", ' in err
+    assert f'"truncation": {json.dumps(value)}' in err and f'"truncation": "{written}"' in err
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ((), "summary.json: extra is 1, but the replay of"),
+        (("config",), "unexpected keyword argument 'extra'"),
+        (("violation",), "unexpected keyword argument 'extra'"),
+    ],
+    ids=["top-level", "config", "violation"],
+)
+def test_check_rejects_a_key_run_does_not_write(tmp_path, capsys, where, message):
+    def edit(summary):
+        for key in where:
+            summary = summary[key]
+        summary["extra"] = 1
+
+    src = _game_with_summary(tmp_path, edit, ABORTED)
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert "summary.json" in err and message in err
+    assert not (src / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, edit, message",
+    [
+        (ABORTED, lambda summary: summary.update(violation=None),
+         "holds 14 of 25 steps, so violation must be a filler or emptier abort at step 15, "),
+        (("--filler", "random:1/2"), lambda summary: summary["config"].update(steps=26),
+         "holds 25 of 26 steps, so violation must be a filler or emptier abort at step 26, "),
+    ],
+    ids=["aborted-run-without-violation", "steps-above-a-full-run"],
+)
+def test_check_rejects_a_run_short_of_its_steps_with_no_violation(
+    tmp_path, capsys, flags, edit, message
+):
+    src = _game_with_summary(tmp_path, edit, flags)
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    err = capsys.readouterr().err
+    assert "summary.json: " in err and f"trace.csv {message}with text reasons, not null" in err
+    assert not (src / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -468,6 +585,12 @@ def test_montecarlo_crossing_prob(tmp_path, capsys):
 
 def test_montecarlo_rejects_few_seeds():
     assert run_cli("montecarlo", "crossing-prob", "--seeds", 99) == 2
+
+
+@pytest.mark.parametrize("experiment", ["crossing-prob", "anchor-swap-backlog"])
+def test_montecarlo_experiments_refuse_fewer_than_100_seeds(capsys, experiment):
+    assert run_cli("montecarlo", experiment, "--seeds", 99) == 2
+    assert "at least 100 seeds" in capsys.readouterr().err
 
 
 def test_montecarlo_anchor_swap_zero_threshold(tmp_path):
