@@ -24,7 +24,7 @@ class GreedyEmptier:
         return None
 
     def select(self, state: CupState, p: int) -> EmptyMove:
-        return EmptyMove(state.top_cups(p), skip_under_one=False)
+        return EmptyMove._wrap(tuple(sorted(state.top_cups(p))), False)
 
 
 class SmoothedGreedyEmptier:
@@ -33,7 +33,7 @@ class SmoothedGreedyEmptier:
         return [dyadic_unit(rng) for _ in range(config.n)]
 
     def select(self, state: CupState, p: int) -> EmptyMove:
-        return EmptyMove(state.top_cups(p), skip_under_one=True)
+        return EmptyMove._wrap(tuple(sorted(state.top_cups(p))), True)
 
 
 class ThresholdBlindEmptier:

@@ -152,9 +152,14 @@ class FillMove:
         return f"FillMove(amounts={self.amounts!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EmptyMove:
-    """Cup selection, sorted; skip_under_one is the removal policy."""
+    """Cup selection, sorted; skip_under_one is the removal policy.
+
+    The constructor, which custom emptiers use, sorts the cups and rejects
+    duplicates.  _wrap checks nothing: it is for the stock emptiers only,
+    whose cups are already a sorted tuple of distinct ids.
+    """
 
     cups: tuple[int, ...]
     skip_under_one: bool = False
@@ -163,11 +168,18 @@ class EmptyMove:
         cups = tuple(sorted(cups))
         if len(set(cups)) != len(cups):
             raise ValueError(f"duplicate cup ids in empty move: {cups}")
-        object.__setattr__(self, "cups", cups)
-        object.__setattr__(self, "skip_under_one", bool(skip_under_one))
+        self.cups = cups
+        self.skip_under_one = bool(skip_under_one)
+
+    @classmethod
+    def _wrap(cls, cups: tuple, skip_under_one: bool) -> "EmptyMove":
+        move = object.__new__(cls)
+        move.cups = cups
+        move.skip_under_one = skip_under_one
+        return move
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
     t: int
     fill: FillMove

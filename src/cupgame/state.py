@@ -5,7 +5,8 @@ holding an exact rational fill >= 0.  Rank queries use the convention that
 rank 1 is fullest and ties break toward the smaller cup id, so every rank
 query has exactly one answer and identical states always rank identically.
 The tie rule comes from the ranking itself: one stable descending sort of
-the cup ids by fill keeps tied cups in id order.
+the cup ids by fill keeps tied cups in id order; top_cups(1) needs no sort,
+as the first index of the maximum fill is the smallest tied id.
 
 Fills are Python ints `scaled` over one denominator `den`, so ranks, sums
 and maxima compare ints.  A state built from rationals starts `den` at the
@@ -71,9 +72,14 @@ class CupState:
         return self.fill_of(self.top_cups(rank)[-1])
 
     def top_cups(self, k: int) -> tuple[int, ...]:
-        """The k fullest cup ids in rank order (ties toward smaller id)."""
+        """The k fullest cup ids in rank order (ties toward smaller id).
+
+        k = 1 reads the first maximum's index, which is the smallest tied id.
+        """
         if not 0 <= k <= self.n:
             raise ValueError(f"k {k} outside 0..{self.n}")
+        if k == 1:
+            return (self.scaled.index(max(self.scaled)) + 1,)
         ranked = sorted(range(self.n), key=self.scaled.__getitem__, reverse=True)
         return tuple([index + 1 for index in ranked[:k]])
 

@@ -14,6 +14,7 @@ from cupgame.engine import (
     EmptyMove,
     FillMove,
     GameConfig,
+    StepRecord,
     apply_empty,
     apply_fill,
     run_game,
@@ -64,6 +65,22 @@ class TestMoves:
         assert move.skip_under_one
         with pytest.raises(ValueError):
             EmptyMove([2, 2])
+
+    def test_wrapped_empty_move_equals_the_checked_one(self):
+        wrapped = EmptyMove._wrap((1, 3), True)
+        checked = EmptyMove([3, 1], True)
+        assert wrapped == checked and hash(wrapped) == hash(checked)
+        assert wrapped != EmptyMove([1, 3]) and wrapped != EmptyMove([1], True)
+
+    def test_step_records_compare_by_value(self):
+        state = CupState([rat(1, 2), 0])
+        fill = FillMove({1: rat(1, 2)})
+        inter, post = apply_fill(state, fill), CupState([0, 0])
+        first = StepRecord(1, fill, inter, EmptyMove([1]), post, (1,))
+        second = StepRecord(1, FillMove({1: rat(1, 2)}), CupState([1, 0]),
+                            EmptyMove._wrap((1,), False), CupState.zeros(2), (1,))
+        assert first == second
+        assert first != StepRecord(2, fill, inter, EmptyMove([1]), post, (1,))
 
 
 class TestValidation:
