@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .engine import ConfigError, GameConfig, run_game
@@ -80,7 +79,7 @@ def _assemble_config(args) -> GameConfig:
     fields = ("n", "p", "steps", "seed", "filler", "emptier", "truncation")
     settings = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
     if args.config:
-        return replace(load_config_file(args.config), **settings)
+        return load_config_file(args.config, **settings)
     missing = [key for key in ("n", "p", "steps") if key not in settings]
     if missing:
         raise ConfigError(f"missing required settings (flag or config file): {missing}")

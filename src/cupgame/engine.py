@@ -5,7 +5,9 @@ water (at most 1 per cup) over the previous state S_{t-1}, producing the
 intermediate state I_t; the emptier then picks at most p cups and removes
 water from each, producing S_t.  Removal from one cup is min(1, fill) under
 the plain policy, or exactly 1-if-fill>=1-else-nothing under the
-skip-under-one policy carried by the move.
+skip-under-one policy carried by the move.  One function, step, states
+that rule: run_game plays every step through it, and traceio.read_trace
+replays every saved step through it.
 
 A fill move holds ints over a denominator of its own; the stock fillers
 and the public constructor use the lcm of the deposits' denominators in
@@ -321,6 +323,22 @@ def apply_empty(state: CupState, move: EmptyMove):
     return CupState._wrap(tuple(scaled), den), tuple(drained)
 
 
+def step(config: GameConfig, t: int, state: CupState, move: FillMove, select):
+    """Step t from state: validate and apply move, then the removals that
+    select(intermediate, p) picks.  Returns the StepRecord, or the Violation
+    of the first illegal move."""
+    problems = validate_fill(move, config, state)
+    if problems:
+        return Violation(t, "filler", tuple(problems))
+    intermediate = apply_fill(state, move)
+    empty = select(intermediate, config.p)
+    problems = validate_empty(empty, config)
+    if problems:
+        return Violation(t, "emptier", tuple(problems))
+    post, drained = apply_empty(intermediate, empty)
+    return StepRecord(t, move, intermediate, empty, post, drained)
+
+
 @dataclass
 class AdaptiveView:
     """What an adaptive filler observes: the records so far and the state.
@@ -366,21 +384,13 @@ def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -
 
     for t in range(1, config.steps + 1):
         view = AdaptiveView(records, state) if adaptive else None
-        move = filler.next_move(t, view)
-        problems = validate_fill(move, config, state)
-        if problems:
-            violation = Violation(t, "filler", tuple(problems))
+        record = step(config, t, state, filler.next_move(t, view), emptier.select)
+        if type(record) is Violation:
+            violation = record
             break
-        intermediate = apply_fill(state, move)
-        empty = emptier.select(intermediate, config.p)
-        problems = validate_empty(empty, config)
-        if problems:
-            violation = Violation(t, "emptier", tuple(problems))
-            break
-        post, drained = apply_empty(intermediate, empty)
-        records.append(StepRecord(t, move, intermediate, empty, post, drained))
-        state = post
-        if stop_when is not None and stop_when(t, post):
+        records.append(record)
+        state = record.post
+        if stop_when is not None and stop_when(t, state):
             break
 
     return Trace(config, initial, records, violation)

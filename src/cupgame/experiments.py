@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .engine import FillMove, GameConfig, run_game
+from .engine import OBLIVIOUS, FillMove, GameConfig, run_game
 from .rational import as_rat, exact_and_decimal, floor_rat, format_rat, rat, to_decimal
 from .state import harmonic_number
 
@@ -207,7 +207,8 @@ def crossing_probability_experiment(deposits, seeds: int):
     hits = 0
     for seed in range(seeds):
         config = GameConfig(
-            n=1, p=1, steps=len(deposits), seed=seed, emptier="smoothed-greedy"
+            n=1, p=1, steps=len(deposits), seed=seed, emptier="smoothed-greedy",
+            visibility=OBLIVIOUS,
         )
         trace = run_game(config, filler=_ScriptedCup(deposits))
         last = trace.records[-1]

@@ -39,13 +39,10 @@ from .engine import (
     EmptyMove,
     FillMove,
     GameConfig,
-    StepRecord,
     Trace,
     Violation,
-    apply_empty,
     build_filler,
-    validate_empty,
-    validate_fill,
+    step,
 )
 from .invariants import record_setting_steps
 from .rational import exact_and_decimal, format_rat, parse_rat, rat, to_decimal
@@ -83,7 +80,7 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
     directory.mkdir(parents=True, exist_ok=True)
     n, p = trace.config.n, trace.config.p
     trace_path = directory / TRACE_NAME
-    with trace_path.open("w", newline="") as handle:
+    with trace_path.open("w", encoding="utf-8", newline="") as handle:
         write = handle.write
         header = ["t", "stage", "selected", "skip"]
         header.extend(f"cup_{cup}" for cup in range(1, n + 1))
@@ -110,7 +107,7 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
             previous = post
     summary_path = directory / SUMMARY_NAME
     blob = json.dumps(summarize(trace), sort_keys=True, indent=2) + "\n"
-    summary_path.write_text(blob)
+    summary_path.write_text(blob, encoding="utf-8")
     return trace_path, summary_path
 
 
@@ -186,7 +183,8 @@ def _scaled_cells(cells, before, previous: CupState):
 
 def _rows(reader, trace_path, expected: int):
     """The rows in file order, header first, each data row checked for its cell
-    count when read; a line csv cannot parse (a cell over its size limit) too."""
+    count when read; a line csv cannot parse (a cell over its size limit) or
+    decode (a byte that is not UTF-8) too."""
     try:
         for line, row in enumerate(reader, start=1):
             if len(row) != expected and line > 1:
@@ -194,6 +192,19 @@ def _rows(reader, trace_path, expected: int):
             yield row
     except csv.Error as err:
         raise ValueError(f"{trace_path}: line {reader.line_num}: {err}") from None
+    except UnicodeDecodeError:
+        # the text layer decodes ahead in chunks, so reader.line_num may be
+        # short of the line that holds the byte: find it in the raw lines
+        with trace_path.open("rb") as handle:
+            for line, raw in enumerate(handle, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise ValueError(
+                        f"{trace_path}: line {line}: byte {err.start + 1} "
+                        f"(0x{raw[err.start]:02x}) is not UTF-8"
+                    ) from None
+        raise
 
 
 def _check_no_selection(row, trace_path, line: int, t: int):
@@ -208,15 +219,18 @@ def _check_no_selection(row, trace_path, line: int, t: int):
 def read_trace(directory) -> Trace:
     """Rebuild a Trace from a directory written by write_trace.
 
-    Every step is replayed, not trusted: the fill move (intermediate minus
-    previous post) and the selection must be legal for the config, and the
-    selection's removals must turn the intermediate row into the post row.
-    Any breach raises ValueError naming the step.  summary.json must be
-    exactly what write_trace writes for the replay, as JSON, every key
-    included.  What the replay cannot derive is checked as run would: the
-    config's filler is built and must suit its visibility, a run short of
-    the config's steps must record a filler or emptier abort with text
-    reasons at the step after the last one, and a full run no violation.
+    Every step is replayed, not trusted, through engine.step, the function
+    run_game plays it with: the fill move (intermediate minus previous post)
+    and the selection must be legal for the config, or the step fails as
+    "step t: illegal filler|emptier move: reasons", the violation run_game
+    records; and the selection's removals must turn the intermediate row
+    into the post row.  Any breach raises ValueError naming the step.
+    summary.json must be exactly what write_trace writes for the replay, as
+    JSON, every key included.  What the replay cannot derive is checked as
+    run would: the config's filler is built and must suit its visibility, a
+    run short of the config's steps must record a filler or emptier abort
+    with text reasons at the step after the last one, and a full run no
+    violation.
 
     Each (inter, post) pair of rows is replayed as it is read; only a
     misnumbered or surplus step reads on, counting rows to name the fault.
@@ -230,7 +244,7 @@ def read_trace(directory) -> Trace:
     directory = Path(directory)
     summary_path = directory / SUMMARY_NAME
     try:
-        summary = json.loads(summary_path.read_text())
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
         config = GameConfig(**summary["config"])
         build_filler(config)
         # only the emptier's name is looked up, so a saved threshold-blind:L,C
@@ -243,7 +257,7 @@ def read_trace(directory) -> Trace:
         raise ValueError(f"{summary_path}: missing or malformed entry {err}") from None
     n = config.n
     trace_path = directory / TRACE_NAME
-    with trace_path.open(newline="") as handle:
+    with trace_path.open(encoding="utf-8", newline="") as handle:
         expected = 4 + n + 2
         rows = _rows(csv.reader(handle), trace_path, expected)
         header = next(rows, None)
@@ -281,7 +295,6 @@ def read_trace(directory) -> Trace:
             try:
                 inter_cells = inter_row[4 : 4 + n]
                 scaled, den, changed = _scaled_cells(inter_cells, cells, previous)
-                inter = CupState._wrap(scaled, den)
                 # a cup whose text did not change got no deposit
                 scale, before = den // previous.den, previous.scaled
                 deposits = ((cup + 1, scaled[cup] - before[cup] * scale) for cup in changed)
@@ -295,25 +308,20 @@ def read_trace(directory) -> Trace:
                     where = f"{trace_path}: line {2 * t + 2}: step {t}"
                     raise ValueError(f"malformed skip flag {post_row[3]!r}")
                 empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
-                problems = validate_fill(fill, config, previous)
-                problems += validate_empty(empty, config)
-                if problems:
-                    raise ValueError("; ".join(problems))
-                post, drained = apply_empty(inter, empty)
-                cells = post_row[4 : 4 + n]
-                scaled, den, _ = _scaled_cells(cells, inter_cells, inter)
+                record = step(config, t, previous, fill, lambda state, p: empty)
+                if type(record) is Violation:
+                    raise ValueError(f"illegal {record.source} move: {'; '.join(record.reasons)}")
+                cells, post = post_row[4 : 4 + n], record.post
+                scaled, den, _ = _scaled_cells(cells, inter_cells, record.intermediate)
                 if den != post.den:  # the row's text needs a larger denominator
-                    post = CupState._wrap(tuple(x * (den // post.den) for x in post.scaled), den)
+                    post = record.post = CupState._wrap(
+                        tuple(x * (den // post.den) for x in post.scaled), den
+                    )
                 if post.scaled != scaled:
                     raise ValueError("post row is not the replay of the selection")
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from None
-            records.append(
-                StepRecord(
-                    t=t, fill=fill, intermediate=inter, empty=empty,
-                    post=post, drained=drained,
-                )
-            )
+            records.append(record)
             previous = post
     trace = Trace(config=config, initial=initial, records=records, violation=violation)
     replayed = summarize(trace)
@@ -351,17 +359,20 @@ _GAME_KEYS = {"n", "p", "steps", "seed", "truncate", "visibility"}
 _STRATEGY_KEYS = {"filler", "emptier"}
 
 
-def load_config_file(path) -> GameConfig:
+def load_config_file(path, **overrides) -> GameConfig:
     """Parse an INI run description into a GameConfig.
 
     [game] holds n, p, steps and optional seed, truncate, visibility;
     [strategies] holds optional filler and emptier specs.  Unknown keys are
     rejected so typos fail loudly.  Values are taken as written (no "%").
+    overrides (GameConfig fields, as run's flags give them) replace the
+    file's settings before the merged config is validated, so a flag may
+    supply a key the file leaves out.  Every error names the file.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as err:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -373,12 +384,9 @@ def load_config_file(path) -> GameConfig:
         raise ConfigError(f"{path}: unknown [game] keys {sorted(unknown)}")
     kwargs = {}
     try:
-        for key in ("n", "p", "steps"):
-            if key not in game:
-                raise ConfigError(f"{path}: [game] needs {key}")
-            kwargs[key] = int(game[key])
-        if "seed" in game:
-            kwargs["seed"] = int(game["seed"])
+        for key in ("n", "p", "steps", "seed"):
+            if key in game:
+                kwargs[key] = int(game[key])
         if "truncate" in game:
             kwargs["truncation"] = parse_rat(game["truncate"])
         if "visibility" in game:
@@ -397,4 +405,11 @@ def load_config_file(path) -> GameConfig:
     stray = set(parser.sections()) - {"game", "strategies"}
     if stray:
         raise ConfigError(f"{path}: unknown sections {sorted(stray)}")
-    return GameConfig(**kwargs)
+    kwargs.update(overrides)
+    for key in ("n", "p", "steps"):
+        if key not in kwargs:
+            raise ConfigError(f"{path}: [game] needs {key}")
+    try:
+        return GameConfig(**kwargs)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None

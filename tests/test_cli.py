@@ -117,6 +117,39 @@ def test_run_malformed_config_file_exits_2(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[game]\nn = 4\np = 8\nsteps = 5\n", "[game]\np = 2\nsteps = 5\n"],
+    ids=["p-over-the-file-n", "no-n"],
+)
+def test_run_flags_override_the_config_file_before_it_is_validated(tmp_path, text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", ini, "--n", 16, "--out", out) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["n"] == 16
+    assert run_cli("check", out) == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"[game]\np = 2\nsteps = 5\n", "[game] needs n\n"),
+        (b"[game]\nn = 4\np = 2\nsteps = 5\nvisibility = sideways\n",
+         "unknown visibility 'sideways'\n"),
+        (b"[game]\nn = 4\np = 2\nsteps = 5\n# \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["no-n", "bad-visibility", "not-utf-8"],
+)
+def test_run_config_file_errors_name_the_file_once(tmp_path, capsys, text, message):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(text)
+    assert run_cli("run", "--config", ini, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ini}: {message}")
+    assert err.count(str(ini)) == 1
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -322,6 +355,23 @@ def test_check_cell_over_the_csv_field_limit_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", src) == 2
     assert "trace.csv: line 4: field larger than field limit" in capsys.readouterr().err
+    assert not (src / "report.json").exists()
+
+
+def test_check_names_the_line_of_a_byte_that_is_not_utf_8(tmp_path, capsys):
+    src = tmp_path / "game"
+    run_cli("run", "--n", 16, "--p", 2, "--steps", 300, "--filler", "random:1/2", "--out", src)
+    path = src / "trace.csv"
+    lines = path.read_bytes().split(b"\n")
+    # a line past the text layer's first 8 KiB chunks, which decode ahead of the rows
+    at = next(at for at in range(len(lines)) if len(b"\n".join(lines[:at])) > 3 * 8192)
+    lines[at] = lines[at][:4] + b"\xff" + lines[at][5:]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli("check", src) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {at + 1}: byte 5 (0xff) is not UTF-8\n"
+    )
     assert not (src / "report.json").exists()
 
 

@@ -31,6 +31,7 @@ from cupgame.invariants import (
     record_setting_steps,
     run_checkers,
 )
+from cupgame import experiments
 from cupgame.experiments import crossing_probability_experiment
 from cupgame.rational import rat
 
@@ -486,6 +487,19 @@ def test_crossing_probability_rejects_small_samples():
         crossing_probability_experiment([], 100)
     with pytest.raises(ValueError):
         crossing_probability_experiment([rat(3, 2)], 100)
+
+
+def test_crossing_probability_plays_its_script_obliviously(monkeypatch):
+    views = []
+    next_move = experiments._ScriptedCup.next_move
+
+    def spy(self, t, view):
+        views.append(view)
+        return next_move(self, t, view)
+
+    monkeypatch.setattr(experiments._ScriptedCup, "next_move", spy)
+    crossing_probability_experiment([rat(1, 3), rat(1, 2)], 100)
+    assert views == [None] * 200
 
 
 # ---------------------------------------------------------------------------

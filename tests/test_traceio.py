@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupgame.engine import ConfigError, GameConfig, run_game
+from cupgame.emptiers import GreedyEmptier
+from cupgame.engine import ConfigError, EmptyMove, GameConfig, run_game
 from cupgame.rational import rat
 from cupgame.traceio import (
     load_config_file,
@@ -19,7 +20,8 @@ from cupgame.traceio import (
     write_trace,
 )
 
-from conftest import ScriptFiller
+from conftest import ScriptFiller, forge
+from test_engine_parity import BAD_KINDS, bad_moves
 
 
 def sample_trace(seed=5, emptier="smoothed-greedy"):
@@ -364,3 +366,76 @@ def test_round_trip_replays_every_record_and_rewrites_the_same_bytes(trace):
         write_trace(back, second)
         for name in ("trace.csv", "summary.json"):
             assert (Path(first) / name).read_bytes() == (Path(second) / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one step rule: an illegal step fails to load as the violation run records
+
+# greedy at p = 2 drains cups 2 and 3 and leaves cup 1 its 1/3, so a
+# negative deposit into cup 1 leaves a fill a trace can hold
+PRELUDE = {1: rat(1, 3), 2: rat(1, 2), 3: rat(1, 2)}
+
+
+class SelectsAt(GreedyEmptier):
+    """Greedy, but selects the given cups at step `at`."""
+
+    def __init__(self, cups, at):
+        self.cups, self.at, self.t = cups, at, 0
+
+    def select(self, state, p):
+        self.t += 1
+        return EmptyMove(self.cups) if self.t == self.at else super().select(state, p)
+
+
+def illegal_games():
+    """(id, moves, emptier, truncation, source) of n=4 p=2 games whose last step is
+    illegal.  A trace has no column for cup n+1, so the "cup" kind is a
+    selection of cup n+1 there: the one out-of-range id a trace can hold."""
+    for kind in BAD_KINDS:
+        if kind == "cup":
+            yield kind, [PRELUDE, PRELUDE], lambda: SelectsAt((1, 5), 2), None, "emptier"
+        else:
+            truncation = "5/4" if kind == "truncation" else None
+            moves = [PRELUDE] + bad_moves(kind, 4, 2)
+            yield kind, moves, GreedyEmptier, truncation, "filler"
+    over = {1: rat(4, 3), 2: rat(4, 3)}  # two deposits over 1, total over p
+    yield "three-reasons", [PRELUDE, over], GreedyEmptier, None, "filler"
+    yield "p+1-cups", [PRELUDE, PRELUDE], lambda: SelectsAt((1, 2, 3), 2), None, "emptier"
+
+
+def with_illegal_step(trace, move, selection):
+    """forge's copy of trace's steps, then one step playing move and selection."""
+    steps = [
+        (dict(r.fill.amounts), r.intermediate.fills, [(cup, None) for cup in r.drained],
+         r.post.fills)
+        for r in trace.records
+    ]
+    inter = list(trace.states()[-1].fills)
+    for cup, amount in move.amounts:
+        inter[cup - 1] += amount
+    post = list(inter)
+    for cup in selection:
+        if cup <= len(post):
+            post[cup - 1] -= min(1, post[cup - 1])
+    steps.append((dict(move.amounts), inter, [(cup, None) for cup in selection], post))
+    config = trace.config
+    return forge(config.n, config.p, config.emptier, steps, initial=trace.initial.fills,
+                 truncation=config.truncation)
+
+
+@pytest.mark.parametrize("game", list(illegal_games()), ids=lambda game: game[0])
+def test_read_fails_an_illegal_step_as_run_records_its_violation(tmp_path, game):
+    _, moves, make_emptier, truncation, source = game
+    config = GameConfig(n=4, p=2, steps=len(moves), truncation=truncation)
+    emptier = make_emptier()
+    trace = run_game(config, filler=ScriptFiller(moves), emptier=emptier)
+    violation = trace.violation
+    assert violation is not None and violation.source == source
+    assert violation.step == len(moves)
+    move = ScriptFiller(moves).moves[-1]
+    selection = emptier.cups if source == "emptier" else ()
+    write_trace(with_illegal_step(trace, move, selection), tmp_path)
+    with pytest.raises(ValueError) as caught:
+        read_trace(tmp_path)
+    reasons = "; ".join(violation.reasons)
+    assert str(caught.value) == f"step {violation.step}: illegal {source} move: {reasons}"
