@@ -29,7 +29,9 @@ Test and fuzz fillers:
 
 random        legal fuzz moves: random support, random small-denominator
               amounts, clamped to the budget (and to the truncation cap when
-              one is configured, which needs adaptive visibility).
+              one is configured, which needs adaptive visibility).  It draws
+              exactly the getrandbits calls that random.sample and randrange
+              would, so seeds frozen from those calls replay.
 zero          deposits nothing.
 
 Spec strings: "zero", "random:DENSITY", "harmonic", "growth",
@@ -61,22 +63,18 @@ class ZeroFiller:
         return FillMove({})
 
 
-def _uniform_below(getrandbits, n: int) -> int:
-    """Uniform int in [0, n) by bit rejection.
-
-    Draws the same bits as random.Random.randint but skips its per-call
-    argument plumbing, which the fuzzer cannot amortize across thousands
-    of tiny draws.
-    """
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 class RandomFiller:
-    """Seeded fuzzer emitting arbitrary legal moves."""
+    """Seeded fuzzer emitting arbitrary legal moves.
+
+    A move draws a support size c = randrange(max_support + 1), a support
+    random.sample(range(1, n + 1), c) and, per support cup in draw order,
+    d = 1 + randrange(8) and an amount randrange(d + 1) / d.  The draws are
+    written out as the stdlib's getrandbits rejection loops (m.bit_length()
+    bits for a draw below m, and sample's pool list or selected set, chosen
+    by its setsize rule), so the filler consumes exactly the bits those calls
+    would: its moves and rng state equal theirs, and seeds frozen before the
+    draws were inlined replay.
+    """
 
     def __init__(self, config: GameConfig, rng, density=rat(1, 2)):
         density = as_rat(density)
@@ -91,9 +89,37 @@ class RandomFiller:
     def next_move(self, t, view) -> FillMove:
         if self.max_support == 0:
             return FillMove({})
+        # a draw below m is _randbelow's loop over m.bit_length() bits
         getrandbits = self.rng.getrandbits
-        count = _uniform_below(getrandbits, self.max_support + 1)
-        support = self.rng.sample(range(1, self.config.n + 1), count)
+        n = self.config.n
+        m = self.max_support + 1
+        bits = m.bit_length()
+        count = getrandbits(bits)
+        while count >= m:
+            count = getrandbits(bits)
+        # random.sample(range(1, n + 1), count) in 0-based indices, draw for
+        # draw: a pool list if it is smaller than a count-sized set, else a set
+        setsize = 21
+        if count > 5:
+            setsize += 4 ** math.ceil(math.log(count * 3, 4))
+        if n <= setsize:
+            pool = list(range(n))
+            support = []
+            for m in range(n, n - count, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                support.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            bits = n.bit_length()
+            support = {}  # the selected set, in draw order
+            for _ in range(count):
+                j = getrandbits(bits)
+                while j >= n or j in support:
+                    j = getrandbits(bits)
+                support[j] = None
         cap = self.config.truncation
         den = AMOUNT_DEN
         if cap is not None:  # headroom is cap minus fill over their common den
@@ -103,17 +129,25 @@ class RandomFiller:
             limit = cap.numerator * (den // cap.denominator)
         budget = self.config.p * den
         pairs = []
-        for cup in support:
-            draw = 1 + _uniform_below(getrandbits, 8)
-            amount = _uniform_below(getrandbits, draw + 1) * (den // draw)
+        for j in support:  # 0-based: cup j + 1
+            draw = getrandbits(4)  # 1 + randrange(8): 8.bit_length() bits
+            while draw >= 8:
+                draw = getrandbits(4)
+            draw += 1
+            m = draw + 1  # amount = randrange(draw + 1) / draw
+            bits = m.bit_length()
+            amount = getrandbits(bits)
+            while amount >= m:
+                amount = getrandbits(bits)
+            amount *= den // draw
             if amount > budget:
                 amount = budget
             if cap is not None:
-                headroom = limit - state.scaled[cup - 1] * fill_scale
+                headroom = limit - state.scaled[j] * fill_scale
                 if amount > headroom:
                     amount = headroom
             if amount > 0:
-                pairs.append((cup, amount))
+                pairs.append((j + 1, amount))
                 budget -= amount
         pairs.sort()
         common = math.gcd(den, *(amount for _, amount in pairs))

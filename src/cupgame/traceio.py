@@ -145,14 +145,14 @@ def summarize(trace: Trace) -> dict:
     return summary
 
 
-def _scaled_cells(cells, before, previous: CupState):
-    """A row's cup cells as (scaled, den, changed), given the previous row.
+def _changed_cells(cells, before, den: int):
+    """A row's changed cups as ([(cup index, int)], den), given the previous row.
 
-    before is the previous row's cell text and previous its (scaled, den).
-    Only the cups in changed, those whose text differs from before, are
-    parsed and checked; every other cup is text already verified, so it
-    keeps previous's int.  den is the least multiple of previous.den that
-    every cell's denominator divides.
+    before is the previous row's cell text and den its denominator.  Only the
+    cups whose text differs from before are parsed and checked; every other
+    cup is text already verified.  The returned den is the least multiple of
+    den that every changed cell's denominator divides, and each int is the
+    cup's fill over it.
     """
     changed = list(compress(range(len(cells)), map(ne, cells, before)))
     pairs = []
@@ -168,17 +168,23 @@ def _scaled_cells(cells, before, previous: CupState):
         if bottom < 0:
             num, bottom = -num, -bottom
         pairs.append((num, bottom))
-    den = previous.den
     for cup, (num, bottom) in zip(changed, pairs):
         if num < 0:
             raise ValueError(f"cup {cup + 1} has negative fill {rat(num, bottom)}")
         if den % bottom:
             den = lcm(den, bottom)
+    return [(cup, num * (den // bottom)) for cup, (num, bottom) in zip(changed, pairs)], den
+
+
+def _scaled_cells(cells, before, previous: CupState):
+    """A row's cup cells as (scaled, den): previous's ints, raised to the
+    row's den, with the changed cups (_changed_cells) put in."""
+    changed, den = _changed_cells(cells, before, previous.den)
     scale = den // previous.den
     scaled = list(previous.scaled) if scale == 1 else [x * scale for x in previous.scaled]
-    for cup, (num, bottom) in zip(changed, pairs):
-        scaled[cup] = num * (den // bottom)
-    return tuple(scaled), den, changed
+    for cup, value in changed:
+        scaled[cup] = value
+    return tuple(scaled), den
 
 
 def _rows(reader, trace_path, expected: int):
@@ -271,7 +277,7 @@ def read_trace(directory) -> Trace:
         _check_no_selection(first, trace_path, 2, 0)
         cells = first[4 : 4 + n]
         try:  # against no text and n empty cups, every cell is parsed
-            scaled, den, _ = _scaled_cells(cells, [None] * n, CupState._wrap((0,) * n, 1))
+            scaled, den = _scaled_cells(cells, [None] * n, CupState._wrap((0,) * n, 1))
         except ValueError as err:
             raise ValueError(f"{trace_path}: line 2: {err}") from None
         initial = previous = CupState._wrap(scaled, den)
@@ -294,10 +300,11 @@ def read_trace(directory) -> Trace:
             where = f"step {t}"
             try:
                 inter_cells = inter_row[4 : 4 + n]
-                scaled, den, changed = _scaled_cells(inter_cells, cells, previous)
-                # a cup whose text did not change got no deposit
+                changed, den = _changed_cells(inter_cells, cells, previous.den)
+                # a cup whose text did not change got no deposit; step builds
+                # the intermediate state from previous and these deposits
                 scale, before = den // previous.den, previous.scaled
-                deposits = ((cup + 1, scaled[cup] - before[cup] * scale) for cup in changed)
+                deposits = ((cup + 1, value - before[cup] * scale) for cup, value in changed)
                 fill = FillMove._wrap(tuple(pair for pair in deposits if pair[1]), den)
                 try:
                     selected = tuple(int(cup) for cup in post_row[2].split())
@@ -312,7 +319,7 @@ def read_trace(directory) -> Trace:
                 if type(record) is Violation:
                     raise ValueError(f"illegal {record.source} move: {'; '.join(record.reasons)}")
                 cells, post = post_row[4 : 4 + n], record.post
-                scaled, den, _ = _scaled_cells(cells, inter_cells, record.intermediate)
+                scaled, den = _scaled_cells(cells, inter_cells, record.intermediate)
                 if den != post.den:  # the row's text needs a larger denominator
                     post = record.post = CupState._wrap(
                         tuple(x * (den // post.den) for x in post.scaled), den

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -11,11 +12,13 @@ from conftest import moves_of
 from cupgame.engine import (
     ConfigError,
     EmptyMove,
+    FillMove,
     GameConfig,
     run_game,
     validate_fill,
 )
 from cupgame.fillers import (
+    AMOUNT_DEN,
     RandomFiller,
     ShrinkingPassFiller,
     SpreadShrinkFiller,
@@ -280,6 +283,82 @@ class TestRandomFiller:
             RandomFiller(config, stream(0, FILLER_LABEL), density=rat(3, 2))
 
 
+def _reference_random_move(filler, view):
+    """RandomFiller.next_move as written with random.sample and randrange.
+
+    The filler spells these draws out as getrandbits loops; this is the
+    stdlib-call version it replaced, kept as the oracle of its bit stream.
+    """
+    rng, config = filler.rng, filler.config
+    if filler.max_support == 0:
+        return FillMove({})
+    count = rng.randrange(filler.max_support + 1)
+    support = rng.sample(range(1, config.n + 1), count)
+    cap = config.truncation
+    den = AMOUNT_DEN
+    if cap is not None:
+        state = view.state
+        den = math.lcm(den, state.den, cap.denominator)
+        fill_scale = den // state.den
+        limit = cap.numerator * (den // cap.denominator)
+    budget = config.p * den
+    pairs = []
+    for cup in support:
+        draw = 1 + rng.randrange(8)
+        amount = rng.randrange(draw + 1) * (den // draw)
+        if amount > budget:
+            amount = budget
+        if cap is not None:
+            headroom = limit - state.scaled[cup - 1] * fill_scale
+            if amount > headroom:
+                amount = headroom
+        if amount > 0:
+            pairs.append((cup, amount))
+            budget -= amount
+    pairs.sort()
+    common = math.gcd(den, *(amount for _, amount in pairs))
+    return FillMove._wrap(tuple((cup, amount // common) for cup, amount in pairs),
+                          den // common)
+
+
+class _ReferenceTwin:
+    """Plays a RandomFiller and checks each move and its rng state against
+    _reference_random_move on a twin filler seeded alike."""
+
+    def __init__(self, config, density):
+        self.filler = RandomFiller(config, stream(config.seed, FILLER_LABEL), density)
+        self.twin = RandomFiller(config, stream(config.seed, FILLER_LABEL), density)
+
+    def next_move(self, t, view):
+        move = self.filler.next_move(t, view)
+        expected = _reference_random_move(self.twin, view)
+        assert (move.scaled, move.den) == (expected.scaled, expected.den), t
+        assert self.filler.rng.getstate() == self.twin.rng.getstate(), t
+        return move
+
+
+# random.sample keeps a pool list when n <= 21 + 4 ** ceil(log(3 * count, 4))
+# (21 alone for count <= 5) and a selected set otherwise: n on both sides of
+# the setsize values 21, 85 and 277, plus powers of two, where n.bit_length()
+# and (n - 1).bit_length() differ
+DIFFERENTIAL_NS = (1, 2, 21, 22, 64, 85, 86, 128, 277, 278)
+
+
+@pytest.mark.parametrize("n", DIFFERENTIAL_NS)
+def test_random_filler_draws_what_sample_and_randrange_draw(n):
+    for p in (1, 2, 4):
+        if p > n:
+            continue
+        for density in (rat(0), rat(1, 3), rat(1, 2), rat(1)):
+            for cap in (None, rat(13, 11)):
+                for seed in (0, 1):
+                    config = GameConfig(n=n, p=p, steps=25, seed=seed,
+                                        truncation=cap)
+                    trace = run_game(config, filler=_ReferenceTwin(config, density))
+                    assert trace.violation is None
+                    assert trace.steps_executed == 25
+
+
 class TestSpecStrings:
     def test_factory_round_trips(self):
         config = GameConfig(n=10, p=2, steps=1)
@@ -316,8 +395,9 @@ class TestSpecStrings:
 
 # SHA-256 of every move, plus the filler's events, passes and growth_steps
 # (empty when the filler keeps none), over PARITY_GRID x PARITY_EMPTIERS.
-# Recorded from the one-class-per-construction fillers; any change to a
-# construction's moves, RNG draws or telemetry changes its digest.
+# Recorded from the one-class-per-construction fillers (the random entries from
+# the filler that drew through random.sample); any change to a construction's
+# moves, RNG draws or telemetry changes its digest.
 PARITY_DIGESTS = {
     "harmonic": "e4cf5f884f4200dd49f755a5af6d011f0d2c4af6f50a572cb7671fdec4abf416",
     "growth": "fe6b466637282f37c5a667a5d029d1f1e53b0fc584d50fcd44ae496029afdcdc",
@@ -327,6 +407,8 @@ PARITY_DIGESTS = {
     "anti-greedy": "e4b2918d38d1c2fc3092ebd13a071d5db1202fec326d56c51930e803f9fc7649",
     "anti-greedy:16,3/4,128": "0ad8a1ac5b6f6466e82130360fe4e6e9a663e76b9f5dfbd5e03caa88799fbe0d",
     "anti-greedy:8,1/2,4": "e4b2918d38d1c2fc3092ebd13a071d5db1202fec326d56c51930e803f9fc7649",
+    "random:1/2": "8c08bd9b391a4f737e1e1dd5fbb69c3a31d0747d7ed3e843189d47eb3617dc6d",
+    "random:1": "3302db14fc0a51cbca27074ba58d449ed175f248228eb00bacd89cf0639f6aa1",
 }
 PARITY_GRID = ((17, 1, 0), (18, 2, 1), (20, 4, 2), (24, 3, 7))  # (n, p, seed)
 PARITY_EMPTIERS = ("greedy", "smoothed-greedy", "threshold-blind")

@@ -108,7 +108,7 @@ def delta_rows(rows):
     parsed, before = [], [None] * n
     previous = traceio.CupState._wrap((0,) * n, 1)
     for cells in rows:
-        scaled, den, _ = traceio._scaled_cells(cells, before, previous)
+        scaled, den = traceio._scaled_cells(cells, before, previous)
         parsed.append((scaled, den))
         before, previous = cells, traceio.CupState._wrap(scaled, den)
     return parsed
@@ -175,13 +175,13 @@ def assert_codecs_agree(trace, tmp_path, monkeypatch, *, replayable=True):
     assert delta_rows(rows) == oracle_rows(rows)
     if not replayable:
         return rows
-    scaled_cells = traceio._scaled_cells
+    changed_cells = traceio._changed_cells
 
-    def counting(cells, before, previous):
-        return scaled_cells([Cell(cell) for cell in cells], before, previous)
+    def counting(cells, before, den):
+        return changed_cells([Cell(cell) for cell in cells], before, den)
 
     Cell.parsed = 0
-    monkeypatch.setattr(traceio, "_scaled_cells", counting)
+    monkeypatch.setattr(traceio, "_changed_cells", counting)
     back = read_trace(tmp_path)
     monkeypatch.undo()
     assert Cell.parsed == expected_parses(rows)
