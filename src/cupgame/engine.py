@@ -9,13 +9,19 @@ skip-under-one policy carried by the move.  One function, step, states
 that rule: run_game plays every step through it, and traceio.read_trace
 replays every saved step through it.
 
-A fill move holds ints over a denominator of its own; the stock fillers
-and the public constructor use the lcm of the deposits' denominators in
-lowest terms (fillers.py says how each filler gets it).  A step's states
-inherit the previous state's int denominator (state.py): apply_fill raises
-it to an lcm with the move's, rescaling each cup once, only when the move's
-does not divide it; apply_empty, removing 1 or a whole fill, keeps it.
-Validating and applying a move read only ints.
+A fill move holds two flat tuples, its cup ids and their ints over a
+denominator of its own; the stock fillers and the public constructor use
+the lcm of the deposits' denominators in lowest terms (fillers.py says how
+each filler gets it).  A step's states inherit the previous state's int
+denominator (state.py): apply_fill raises it to an lcm with the move's,
+rescaling each cup once, only when the move's does not divide it;
+apply_empty, removing 1 or a whole fill, keeps it.  Validating and applying
+a move read only ints.
+
+A step record keeps only what cannot be rebuilt: the state the step started
+from (the previous record's post, the same object), the two moves, the post
+state and the drained cups.  Its intermediate state is rebuilt from the
+first two on each access, so a trace holds one state per step.
 
 Strategies never mutate states.  If a strategy emits an illegal move the run
 aborts and the trace carries a structured violation report instead of
@@ -103,14 +109,15 @@ class GameConfig:
 class FillMove:
     """Sparse deposits as ints over one denominator, sorted by cup id.
 
-    `scaled` holds (cup, deposit * den) pairs, zero deposits dropped.  The
+    `cups` holds the ids that get water, ascending, and `scaled` their
+    deposits times `den`, in the same order; zero deposits are dropped.  The
     public constructor takes rationals and sets `den` to the lcm of their
     denominators; the stock fillers build the int form directly (_wrap).
     A move holds only those ints.  Equality and hashing go by value, through
     the rational `amounts`, which are built from them on each call.
     """
 
-    __slots__ = ("scaled", "den")
+    __slots__ = ("cups", "scaled", "den")
 
     def __init__(self, amounts):
         if hasattr(amounts, "items"):
@@ -126,15 +133,17 @@ class FillMove:
                 cleaned.append((cup, amount))
         cleaned.sort()
         self.den = den = lcm(*(amount.denominator for _, amount in cleaned))
+        self.cups = tuple(cup for cup, _ in cleaned)
         self.scaled = tuple(
-            (cup, amount.numerator * (den // amount.denominator)) for cup, amount in cleaned
+            amount.numerator * (den // amount.denominator) for _, amount in cleaned
         )
 
     @classmethod
-    def _wrap(cls, scaled: tuple, den: int) -> "FillMove":
-        # fillers and replay only: scaled must already be sorted by cup, with
-        # distinct cups and nonzero ints over den
+    def _wrap(cls, cups: tuple, scaled: tuple, den: int) -> "FillMove":
+        # fillers and replay only: cups must already be sorted and distinct,
+        # and scaled their nonzero ints over den, in the same order
         move = object.__new__(cls)
+        move.cups = cups
         move.scaled = scaled
         move.den = den
         return move
@@ -142,7 +151,8 @@ class FillMove:
     @property
     def amounts(self) -> tuple:
         """The exact rational deposits, as sorted (cup, amount) pairs."""
-        return tuple((cup, rat(deposit, self.den)) for cup, deposit in self.scaled)
+        den = self.den
+        return tuple((cup, rat(deposit, den)) for cup, deposit in zip(self.cups, self.scaled))
 
     def __eq__(self, other):
         return isinstance(other, FillMove) and self.amounts == other.amounts
@@ -183,12 +193,20 @@ class EmptyMove:
 
 @dataclass(slots=True)
 class StepRecord:
+    """One step.  prev is the state it started from: the previous record's
+    post (or the trace's initial state), the same object."""
+
     t: int
     fill: FillMove
-    intermediate: CupState
+    prev: CupState
     empty: EmptyMove
     post: CupState
     drained: tuple[int, ...]  # sorted ids of the cups that lost water
+
+    @property
+    def intermediate(self) -> CupState:
+        """prev plus fill, rebuilt on each access."""
+        return apply_fill(self.prev, self.fill)
 
 
 @dataclass(frozen=True)
@@ -258,7 +276,7 @@ def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[s
         fill_scale, deposit_scale = common // state.den, common // den
         limit = cap.numerator * common
     total = 0
-    for cup, deposit in move.scaled:
+    for cup, deposit in zip(move.cups, move.scaled):
         if not 1 <= cup <= config.n:
             problems.append(f"cup id {cup} outside 1..{config.n}")
             continue
@@ -292,7 +310,7 @@ def apply_fill(state: CupState, move: FillMove) -> CupState:
     else:
         scaled = list(state.scaled)
     scale = den // move.den
-    for cup, deposit in move.scaled:
+    for cup, deposit in zip(move.cups, move.scaled):
         scaled[cup - 1] += deposit * scale
     return CupState._wrap(tuple(scaled), den)
 
@@ -308,7 +326,10 @@ def validate_empty(move: EmptyMove, config: GameConfig) -> list[str]:
 
 
 def apply_empty(state: CupState, move: EmptyMove):
-    """Apply removals; returns (new state, sorted ids of the cups that lost water)."""
+    """Apply removals; returns (new state, sorted ids of the cups that lost water).
+
+    When every selected cup lost water, the ids are the selection's own tuple.
+    """
     den = state.den
     scaled = list(state.scaled)
     drained = []
@@ -320,7 +341,8 @@ def apply_empty(state: CupState, move: EmptyMove):
         elif fill > 0 and not move.skip_under_one:
             scaled[cup - 1] = 0
             drained.append(cup)
-    return CupState._wrap(tuple(scaled), den), tuple(drained)
+    post = CupState._wrap(tuple(scaled), den)
+    return post, move.cups if len(drained) == len(move.cups) else tuple(drained)
 
 
 def step(config: GameConfig, t: int, state: CupState, move: FillMove, select):
@@ -336,7 +358,7 @@ def step(config: GameConfig, t: int, state: CupState, move: FillMove, select):
     if problems:
         return Violation(t, "emptier", tuple(problems))
     post, drained = apply_empty(intermediate, empty)
-    return StepRecord(t, move, intermediate, empty, post, drained)
+    return StepRecord(t, move, state, empty, post, drained)
 
 
 @dataclass

@@ -212,9 +212,6 @@ def crossing_probability_experiment(deposits, seeds: int):
         )
         trace = run_game(config, filler=_ScriptedCup(deposits))
         last = trace.records[-1]
-        before = (
-            trace.records[-2].post if len(trace.records) > 1 else trace.initial
-        ).fill_of(1)
-        if floor_rat(last.intermediate.fill_of(1)) > floor_rat(before):
+        if floor_rat(last.intermediate.fill_of(1)) > floor_rat(last.prev.fill_of(1)):
             hits += 1
     return rat(hits, seeds)

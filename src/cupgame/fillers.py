@@ -150,9 +150,9 @@ class RandomFiller:
                 pairs.append((j + 1, amount))
                 budget -= amount
         pairs.sort()
-        common = math.gcd(den, *(amount for _, amount in pairs))
-        return FillMove._wrap(tuple((cup, amount // common) for cup, amount in pairs),
-                              den // common)
+        cups, amounts = zip(*pairs) if pairs else ((), ())
+        common = math.gcd(den, *amounts)
+        return FillMove._wrap(cups, tuple(amount // common for amount in amounts), den // common)
 
 
 class ShrinkingPassFiller:
@@ -190,9 +190,8 @@ class ShrinkingPassFiller:
             self.passes += 1
         size = len(self.unemptied)
         # anchors precede the targets and unemptied keeps id order: sorted
-        scaled = [(cup, size) for cup in self.anchors]
-        scaled.extend((cup, 1) for cup in self.unemptied)
-        return FillMove._wrap(tuple(scaled), size)
+        cups = (*self.anchors, *self.unemptied)
+        return FillMove._wrap(cups, (size,) * len(self.anchors) + (1,) * size, size)
 
 
 class SpreadShrinkFiller:
@@ -294,13 +293,21 @@ class SpreadShrinkFiller:
     def next_move(self, t, view) -> FillMove:
         if self._step >= self.round_steps:  # previous round complete, or first call
             self._begin_round()
-        size = len(self._working)
-        scaled = [(cup, size) for cup in self.anchors]
-        scaled.extend((cup, 1) for cup in self._working)
-        scaled.sort()  # a swapped-in anchor may sit above working cups
-        move = FillMove._wrap(tuple(scaled), size)
-        victim = self._working[self.rng.randrange(len(self._working))]
-        self._working.remove(victim)
+        anchors, working = self.anchors, self._working
+        size = len(working)
+        if anchors and anchors[-1] > working[0]:  # a swapped-in anchor above working cups
+            pairs = sorted([(cup, size) for cup in anchors] + [(cup, 1) for cup in working])
+            cups, scaled = zip(*pairs)
+        else:  # both lists keep id order
+            cups, scaled = (*anchors, *working), (size,) * len(anchors) + (1,) * size
+        move = FillMove._wrap(cups, scaled, size)
+        # the victim is randrange(size): _randbelow's loop over size.bit_length() bits
+        getrandbits = self.rng.getrandbits
+        bits = size.bit_length()
+        victim = getrandbits(bits)
+        while victim >= size:
+            victim = getrandbits(bits)
+        del working[victim]
         self._step += 1
         if self._step >= self.round_steps:
             self._end_round()

@@ -306,13 +306,13 @@ def level_series(trace: Trace, level: int) -> LevelStats:
     integer_fill.append(t0)
     den = _trace_den(trace)
     gate = 2 * (level - 1) * den
-    previous = trace.initial
     for record in trace.records:
         count = 0
         cups = []
+        previous = record.prev
         scale, step = den // previous.den, den // record.fill.den
         fills = previous.scaled
-        for cup, amount in record.fill.scaled:
+        for cup, amount in zip(record.fill.cups, record.fill.scaled):
             before = max(fills[cup - 1] * scale - gate, 0)  # h^(i) over D
             hit = (before + amount * step) // den - max(before // den, 1)
             if hit > 0:
@@ -323,7 +323,6 @@ def level_series(trace: Trace, level: int) -> LevelStats:
         a, ti = _state_level_numbers(record.post, level)
         active.append(a)
         integer_fill.append(ti)
-        previous = record.post
     stats = LevelStats(
         level=level,
         active=active,
@@ -494,7 +493,7 @@ def check_working_set(trace: Trace, level: int, window: int = WINDOW) -> Invaria
                 )
             for record in trace.records[upto:t1]:  # bring the sums up to t1
                 step = den // record.fill.den
-                for cup, amount in record.fill.scaled:
+                for cup, amount in zip(record.fill.cups, record.fill.scaled):
                     sums[cup] += amount * step
             upto = t1
             deposits = sum(sums[cup] for cup in cups)
@@ -525,7 +524,7 @@ def check_fractional_preservation(trace: Trace) -> InvariantReport:
     params = {"n": trace.config.n}
     for t, record in enumerate(trace.records, start=1):
         step = den // record.fill.den
-        for cup, amount in record.fill.scaled:
+        for cup, amount in zip(record.fill.cups, record.fill.scaled):
             expected[cup - 1] += amount * step
         scale = den // record.post.den
         for cup, (fill, base) in enumerate(zip(record.post.scaled, expected), start=1):

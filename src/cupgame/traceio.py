@@ -8,13 +8,17 @@ selected cups with the skip flag replay the removals.  backlog and av_p are
 15-significant-digit decimal conveniences for spreadsheets; they are never
 read back.
 
-Rows are coded as deltas from the row above.  The writer reformats only
-the cups whose ints changed (every cup when den changed) and streams each
-line to the file.  The reader replays each row as it reads it, and parses
-and checks only the cells whose text changed; any other cell is
-text-identical to the verified cell of the same cup one row up, so it keeps
-that int, rescaled to the new den.  A cup's lowest-terms text depends only
-on its value, so the delta changes no byte.
+Rows are coded as deltas from the row above.  The writer rebuilds each
+step's intermediate state from the record, reformats only the cups whose
+ints changed (every cup when den changed) and streams each line to the
+file.  The reader replays each row as it reads it, and parses and checks
+only the cells whose text changed; any other cell is text-identical to the
+verified cell of the same cup one row up, so it keeps that int, rescaled to
+the new den.  An inter row's changed cells are the fill move; a post row is
+checked from its changed cells alone: every drained cup's cell must have
+changed, and every changed cell must equal the replayed post state.  A
+cup's lowest-terms text depends only on its value, so the delta changes no
+byte.
 
 summary.json records the config, run totals, and any abort, and is the
 authoritative source of the config when re-loading a trace directory, which
@@ -92,10 +96,9 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
         _update_cells(cells, None, trace.initial)
         stats = _stat_cells(tops[0][0], masses[0][0], trace.initial.den, p)
         write(f"0,post,,,{','.join(cells)},{stats}\n")
-        previous = trace.initial
         for record, (top, _), (mass, _) in zip(trace.records, tops[1:], masses[1:]):
             t, inter, post = record.t, record.intermediate, record.post
-            _update_cells(cells, previous, inter)
+            _update_cells(cells, record.prev, inter)
             ranked = inter.top_scaled(p)
             stats = _stat_cells(ranked[0], sum(ranked), inter.den, p)
             write(f"{t},inter,,,{','.join(cells)},{stats}\n")
@@ -104,7 +107,6 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
             skip = "1" if record.empty.skip_under_one else "0"
             stats = _stat_cells(top, mass, post.den, p)
             write(f"{t},post,{selected},{skip},{','.join(cells)},{stats}\n")
-            previous = post
     summary_path = directory / SUMMARY_NAME
     blob = json.dumps(summarize(trace), sort_keys=True, indent=2) + "\n"
     summary_path.write_text(blob, encoding="utf-8")
@@ -176,17 +178,6 @@ def _changed_cells(cells, before, den: int):
     return [(cup, num * (den // bottom)) for cup, (num, bottom) in zip(changed, pairs)], den
 
 
-def _scaled_cells(cells, before, previous: CupState):
-    """A row's cup cells as (scaled, den): previous's ints, raised to the
-    row's den, with the changed cups (_changed_cells) put in."""
-    changed, den = _changed_cells(cells, before, previous.den)
-    scale = den // previous.den
-    scaled = list(previous.scaled) if scale == 1 else [x * scale for x in previous.scaled]
-    for cup, value in changed:
-        scaled[cup] = value
-    return tuple(scaled), den
-
-
 def _rows(reader, trace_path, expected: int):
     """The rows in file order, header first, each data row checked for its cell
     count when read; a line csv cannot parse (a cell over its size limit) or
@@ -243,7 +234,8 @@ def read_trace(directory) -> Trace:
 
     Rows are read as ints over one denominator, carried forward as an lcm as
     the engine's is, so a cup that drains never shrinks it; each replayed
-    move holds its deposits as ints over the intermediate row's.
+    move holds its deposits as ints over the intermediate row's.  No
+    intermediate state is kept: each record starts from the previous post.
     """
     from .emptiers import _EMPTIERS  # as run_game does: cli's start-up skips it
 
@@ -276,11 +268,11 @@ def read_trace(directory) -> Trace:
             raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
         _check_no_selection(first, trace_path, 2, 0)
         cells = first[4 : 4 + n]
-        try:  # against no text and n empty cups, every cell is parsed
-            scaled, den = _scaled_cells(cells, [None] * n, CupState._wrap((0,) * n, 1))
+        try:  # against no text, every cell is parsed
+            changed, den = _changed_cells(cells, [None] * n, 1)
         except ValueError as err:
             raise ValueError(f"{trace_path}: line 2: {err}") from None
-        initial = previous = CupState._wrap(scaled, den)
+        initial = previous = CupState._wrap(tuple(value for _, value in changed), den)
         records = []
         for t, inter_row in enumerate(rows, start=1):
             post_row = next(rows, None)
@@ -304,8 +296,9 @@ def read_trace(directory) -> Trace:
                 # a cup whose text did not change got no deposit; step builds
                 # the intermediate state from previous and these deposits
                 scale, before = den // previous.den, previous.scaled
-                deposits = ((cup + 1, value - before[cup] * scale) for cup, value in changed)
-                fill = FillMove._wrap(tuple(pair for pair in deposits if pair[1]), den)
+                deposits = [(cup + 1, value - before[cup] * scale) for cup, value in changed]
+                cups, amounts = tuple(zip(*[pair for pair in deposits if pair[1]])) or ((), ())
+                fill = FillMove._wrap(cups, amounts, den)
                 try:
                     selected = tuple(int(cup) for cup in post_row[2].split())
                 except ValueError:
@@ -318,13 +311,18 @@ def read_trace(directory) -> Trace:
                 record = step(config, t, previous, fill, lambda state, p: empty)
                 if type(record) is Violation:
                     raise ValueError(f"illegal {record.source} move: {'; '.join(record.reasons)}")
+                # the post row against the inter row: a drained cup's cell must
+                # change, and a changed cell must hold the replayed fill
                 cells, post = post_row[4 : 4 + n], record.post
-                scaled, den = _scaled_cells(cells, inter_cells, record.intermediate)
+                changed, den = _changed_cells(cells, inter_cells, post.den)
                 if den != post.den:  # the row's text needs a larger denominator
                     post = record.post = CupState._wrap(
                         tuple(x * (den // post.den) for x in post.scaled), den
                     )
-                if post.scaled != scaled:
+                scaled = post.scaled
+                if any(cells[cup - 1] == inter_cells[cup - 1] for cup in record.drained) or any(
+                    scaled[cup] != value for cup, value in changed
+                ):
                     raise ValueError("post row is not the replay of the selection")
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from None

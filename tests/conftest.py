@@ -48,26 +48,29 @@ def play(n, p, steps, *, filler=None, emptier=None, seed=0, **kwargs):
 def forge(n, p, emptier, steps, *, initial=None, truncation=None):
     """Assemble a Trace from raw per-step tuples, no legality checks.
 
-    steps: list of (fill_amounts, inter_fills, removed_pairs, post_fills);
-    a record keeps only the cups of its (cup, amount) removed pairs.
+    steps: list of (fill_amounts, removed_pairs, post_fills); a record keeps
+    only the cups of its (cup, amount) removed pairs.  Each record starts
+    from the previous post, so its intermediate state is that plus its fill.
     """
     config = GameConfig(
         n=n, p=p, steps=len(steps), emptier=emptier, truncation=truncation
     )
     start = CupState([rat(x) for x in initial]) if initial else CupState.zeros(n)
     records = []
-    for t, (fills, inter, removed, post) in enumerate(steps, start=1):
+    previous = start
+    for t, (fills, removed, post) in enumerate(steps, start=1):
         drained = tuple(sorted(cup for cup, _ in removed))
         records.append(
             StepRecord(
                 t=t,
                 fill=FillMove({cup: rat(a) for cup, a in fills.items()}),
-                intermediate=CupState([rat(x) for x in inter]),
+                prev=previous,
                 empty=EmptyMove(drained),
                 post=CupState([rat(x) for x in post]),
                 drained=drained,
             )
         )
+        previous = records[-1].post
     return Trace(config=config, initial=start, records=records)
 
 

@@ -125,42 +125,42 @@ def _forged_breaches():
     """One hand-assembled trace per checker, each violating its clause."""
     yield "truncated-tail", forge(
         3, 1, "greedy",
-        [({1: rat(1)}, (3, 2, 0), (), (3, 2, 0))],
+        [({1: rat(1)}, (), (3, 2, 0))],
         truncation=2,
     )
     yield "cup-reset", forge(
         2, 1, "greedy",
-        [({1: rat(1)}, (2, 0), (), (2, 0))],
+        [({1: rat(1)}, (), (2, 0))],
     )
     yield "record-gap", forge(
         2, 1, "greedy",
-        [({1: rat(1)}, (3, 0), (), (3, 0))],
+        [({1: rat(1)}, (), (3, 0))],
     )
     yield "single-av", forge(
         2, 1, "greedy",
-        [({1: rat(1)}, (rat(3, 2), rat(3, 2)), (), (rat(3, 2), rat(3, 2)))],
+        [({1: rat(1)}, (), (rat(3, 2), rat(3, 2)))],
     )
     yield "level-conservation", forge(
         1, 1, "smoothed-greedy",
-        [({1: rat(1, 2)}, (rat(1, 2),), (), (5,))],
+        [({1: rat(1, 2)}, (), (5,))],
     )
     idle = []
     fill = rat(0)
     for _ in range(20):
         fill += 1
-        idle.append(({1: rat(1)}, (fill, 0), (), (fill, 0)))
+        idle.append(({1: rat(1)}, (), (fill, 0)))
     yield "level-progress", forge(2, 1, "smoothed-greedy", idle)
     sprint = []
     fills = [rat(0)] * 4
     for _ in range(4):
         fills = [fill + 1 for fill in fills]
         sprint.append(
-            ({cup: rat(1) for cup in range(1, 5)}, tuple(fills), (), tuple(fills))
+            ({cup: rat(1) for cup in range(1, 5)}, (), tuple(fills))
         )
     yield "working-set", forge(4, 1, "smoothed-greedy", sprint)
     yield "fractional", forge(
         1, 1, "smoothed-greedy",
-        [({}, (rat(1, 3),), (), (rat(1, 2),))],
+        [({}, (), (rat(1, 2),))],
         initial=(rat(1, 3),),
     )
 

@@ -122,7 +122,7 @@ def _corpus():
         yield f"forged-{name}", trace
     # partial removals let cup 1 recross s=2 with too little water: the
     # working-set witness is the deposits clause's, at t1 = 2
-    step = ({1: rat(1, 5)}, (rat(21, 10), 0), ((1, rat(1, 5)),), (rat(19, 10), 0))
+    step = ({1: rat(1, 5)}, ((1, rat(1, 5)),), (rat(19, 10), 0))
     yield "forged-water", forge(2, 1, SMOOTHED, [step] * 5, initial=(rat(19, 10), 0))
     for filler, n, p in (("growth", 32, 4), ("harmonic", 64, 1)):
         config = GameConfig(n=n, p=p, steps=2000, filler=filler, emptier=SMOOTHED)

@@ -378,11 +378,10 @@ def forged_traces(draw):
     for _ in range(draw(st.integers(0, 8))):
         cups = draw(st.lists(st.integers(1, n), max_size=n, unique=True))
         deposits = {cup: draw(st.sampled_from(AMOUNTS)) for cup in cups}
-        inter = tuple(draw(st.lists(FILLS, min_size=n, max_size=n)))
         drained = draw(st.lists(st.integers(1, n), max_size=p, unique=True))
         removed = [(cup, draw(st.sampled_from(AMOUNTS[1:]))) for cup in drained]
         post = tuple(draw(st.lists(FILLS, min_size=n, max_size=n)))
-        steps.append((deposits, inter, removed, post))
+        steps.append((deposits, removed, post))
     return forge(n, p, emptier, steps, initial=initial, truncation=truncation)
 
 

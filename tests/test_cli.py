@@ -193,7 +193,7 @@ def test_check_failing_trace_exits_1(tmp_path, capsys):
         2,
         1,
         "greedy",
-        [({1: rat(1)}, (rat(2), rat(0)), (), (rat(2), rat(0)))],
+        [({1: rat(1)}, (), (rat(2), rat(0)))],
         initial=(1, 0),
     )
     write_trace(bad, tmp_path)
@@ -211,7 +211,7 @@ def test_check_default_runs_every_checker_whose_hypotheses_hold(tmp_path, capsys
         2,
         1,
         "greedy",
-        [({1: rat(1)}, (rat(2), rat(0)), (), (rat(2), rat(0)))],
+        [({1: rat(1)}, (), (rat(2), rat(0)))],
         initial=(1, 0),
     )
     write_trace(bad, tmp_path)
@@ -297,7 +297,7 @@ def test_check_illegal_trace_exits_2_naming_the_step(tmp_path, capsys):
         2,
         1,
         "greedy",
-        [({1: rat(1)}, (rat(2), rat(0)), (), (rat(2), rat(0)))],
+        [({1: rat(2)}, (), (rat(2), rat(0)))],
     )
     write_trace(bad, tmp_path)
     assert run_cli("check", tmp_path) == 2

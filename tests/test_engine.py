@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from cupgame.fillers import make_filler
 from cupgame.rational import rat
 from cupgame.rng import FILLER_LABEL, stream
 from cupgame.state import CupState
+from cupgame.traceio import read_trace, write_trace
+from test_greedy_select import C2_POINTS
 
 
 def assert_removals(record):
@@ -46,9 +50,9 @@ class TestMoves:
 
     def test_fill_move_equality_ignores_the_denominator(self):
         # the same deposits as ints over 840 and as ints over 2
-        wide = FillMove._wrap(((1, 420), (3, 840)), 840)
+        wide = FillMove._wrap((1, 3), (420, 840), 840)
         narrow = FillMove({1: rat(1, 2), 3: 1})
-        assert narrow.den == 2 and narrow.scaled == ((1, 1), (3, 2))
+        assert narrow.den == 2 and (narrow.cups, narrow.scaled) == ((1, 3), (1, 2))
         assert wide == narrow and hash(wide) == hash(narrow)
         assert wide.amounts == narrow.amounts
         assert wide != FillMove({1: rat(1, 2), 3: rat(1, 2)})
@@ -75,12 +79,13 @@ class TestMoves:
     def test_step_records_compare_by_value(self):
         state = CupState([rat(1, 2), 0])
         fill = FillMove({1: rat(1, 2)})
-        inter, post = apply_fill(state, fill), CupState([0, 0])
-        first = StepRecord(1, fill, inter, EmptyMove([1]), post, (1,))
-        second = StepRecord(1, FillMove({1: rat(1, 2)}), CupState([1, 0]),
+        post = CupState([0, 0])
+        first = StepRecord(1, fill, state, EmptyMove([1]), post, (1,))
+        second = StepRecord(1, FillMove({1: rat(1, 2)}), CupState([rat(1, 2), 0]),
                             EmptyMove._wrap((1,), False), CupState.zeros(2), (1,))
         assert first == second
-        assert first != StepRecord(2, fill, inter, EmptyMove([1]), post, (1,))
+        assert first.intermediate == apply_fill(state, fill) == CupState([1, 0])
+        assert first != StepRecord(2, fill, state, EmptyMove([1]), post, (1,))
 
 
 class TestValidation:
@@ -349,7 +354,7 @@ class TestEngineProperties:
     def test_max_backlog_compares_states_across_denominators(self):
         # the fullest post state, 7/6, has neither the largest den nor the last
         posts = [rat(9, 10), rat(7, 6), rat(1)]
-        trace = forge(2, 1, "greedy", [({}, [fill, 0], [], [fill, 0]) for fill in posts])
+        trace = forge(2, 1, "greedy", [({}, [], [fill, 0]) for fill in posts])
         assert [state.den for state in trace.states()] == [1, 10, 6, 1]
         assert trace.max_backlog() == rat(7, 6) == max(s.backlog() for s in trace.states())
 
@@ -376,3 +381,49 @@ def test_engine_steps_build_no_fraction(spec, monkeypatch):
         assert trace.violation is None
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def reachable_states(root) -> int:
+    """The number of distinct CupState objects reachable from root."""
+    seen, states, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+            continue
+        seen.add(id(obj))
+        states += type(obj) is CupState
+        stack.extend(gc.get_referents(obj))
+    return states
+
+
+def assert_one_state_per_step(trace):
+    """Each record starts from the previous record's post object (the first
+    from initial), and the trace holds no other state."""
+    previous = trace.initial
+    for record in trace.records:
+        assert record.prev is previous, record.t
+        assert record.intermediate == apply_fill(previous, record.fill)
+        previous = record.post
+    assert reachable_states(trace) == trace.steps_executed + 1
+
+
+@pytest.mark.parametrize("filler,n,p,seed", C2_POINTS)
+def test_trace_holds_one_state_per_step_on_c2_grid(filler, n, p, seed):
+    config = GameConfig(n=n, p=p, steps=500, seed=seed, filler=filler, emptier="greedy")
+    trace = run_game(config)
+    assert trace.steps_executed == 500
+    assert_one_state_per_step(trace)
+
+
+@pytest.mark.parametrize(
+    "filler,n,steps",
+    [("anchor-swap:8,64,2", 16, 1024), ("anti-greedy:16,3/4,128", 32, 1408)],
+)
+def test_trace_holds_one_state_per_step_on_c8_configs(filler, n, steps, tmp_path):
+    config = GameConfig(n=n, p=8, steps=steps, seed=0, filler=filler,
+                        emptier="smoothed-greedy", visibility="oblivious")
+    trace = run_game(config)
+    assert trace.steps_executed == steps
+    assert_one_state_per_step(trace)
+    write_trace(trace, tmp_path)
+    assert_one_state_per_step(read_trace(tmp_path))  # the replay keeps one too

@@ -11,6 +11,7 @@ from their rationals.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from cupgame.engine import (
     EmptyMove,
     FillMove,
     GameConfig,
-    StepRecord,
     Violation,
     apply_fill,
     run_game,
@@ -99,6 +99,11 @@ def ref_select(emptier, fills, p):
     return EmptyMove(ref_top_cups(fills, p), skip_under_one=emptier == "smoothed-greedy")
 
 
+# a reference step keeps its own intermediate and post fills, so the engine's
+# rebuilt intermediate is checked against fills the engine never made
+RefStep = namedtuple("RefStep", "t fill intermediate empty post drained")
+
+
 def reference_game(config, filler):
     """(initial fills, records, violation) of the game on the reference engine."""
     offsets = make_emptier(config.emptier).initial_fills(
@@ -120,7 +125,7 @@ def reference_game(config, filler):
         empty = ref_select(config.emptier, inter, config.p)
         post, removed = ref_apply_empty(inter, empty)
         drained = tuple(cup for cup, _ in removed)
-        records.append(StepRecord(t, move, CupState(inter), empty, CupState(post), drained))
+        records.append(RefStep(t, move, inter, empty, post, drained))
         fills = post
     return initial.fills, records, None
 
@@ -142,13 +147,13 @@ def assert_engines_agree(config, make):
     assert_state_matches(trace.initial, initial, config.p)
     assert [r.fill for r in trace.records] == [r.fill for r in records]
     for new, ref in zip(trace.records, records):
-        assert_state_matches(new.intermediate, ref.intermediate.fills, config.p)
+        assert_state_matches(new.intermediate, ref.intermediate, config.p)
         assert new.empty == ref.empty
         assert new.drained == ref.drained
-        assert_state_matches(new.post, ref.post.fills, config.p)
+        assert_state_matches(new.post, ref.post, config.p)
     assert len(trace.records) == len(records)
     assert trace.violation == violation
-    fills = [initial] + [ref.post.fills for ref in records]
+    fills = [initial] + [ref.post for ref in records]
     assert [state.backlog() for state in trace.states()] == [max(f) for f in fills]
     return trace
 
@@ -287,7 +292,8 @@ def test_stock_int_moves_match_their_rational_rebuild(spec, emptier):
             move = record.fill
             rebuilt = FillMove(move.amounts)
             assert move == rebuilt and hash(move) == hash(rebuilt)
-            assert (move.den, move.scaled) == (rebuilt.den, rebuilt.scaled)
+            assert (move.den, move.cups, move.scaled) == (rebuilt.den, rebuilt.cups,
+                                                          rebuilt.scaled)
             for rules in (config, tight):
                 problems = validate_fill(move, rules, state)
                 assert problems == validate_fill(rebuilt, rules, state)

@@ -317,8 +317,8 @@ def _reference_random_move(filler, view):
             budget -= amount
     pairs.sort()
     common = math.gcd(den, *(amount for _, amount in pairs))
-    return FillMove._wrap(tuple((cup, amount // common) for cup, amount in pairs),
-                          den // common)
+    return FillMove._wrap(tuple(cup for cup, _ in pairs),
+                          tuple(amount // common for _, amount in pairs), den // common)
 
 
 class _ReferenceTwin:
@@ -332,7 +332,8 @@ class _ReferenceTwin:
     def next_move(self, t, view):
         move = self.filler.next_move(t, view)
         expected = _reference_random_move(self.twin, view)
-        assert (move.scaled, move.den) == (expected.scaled, expected.den), t
+        assert (move.cups, move.scaled, move.den) == (expected.cups, expected.scaled,
+                                                      expected.den), t
         assert self.filler.rng.getstate() == self.twin.rng.getstate(), t
         return move
 
@@ -357,6 +358,42 @@ def test_random_filler_draws_what_sample_and_randrange_draw(n):
                     trace = run_game(config, filler=_ReferenceTwin(config, density))
                     assert trace.violation is None
                     assert trace.steps_executed == 25
+
+
+def _reference_spread_move(filler):
+    """SpreadShrinkFiller.next_move as it was before its victim draw was
+    inlined: rng.randrange picks the victim and list.remove deletes it."""
+    if filler._step >= filler.round_steps:
+        filler._begin_round()
+    size = len(filler._working)
+    pairs = [(cup, size) for cup in filler.anchors]
+    pairs.extend((cup, 1) for cup in filler._working)
+    pairs.sort()
+    victim = filler._working[filler.rng.randrange(len(filler._working))]
+    filler._working.remove(victim)
+    filler._step += 1
+    if filler._step >= filler.round_steps:
+        filler._end_round()
+    return FillMove._wrap(tuple(cup for cup, _ in pairs), tuple(x for _, x in pairs), size)
+
+
+@pytest.mark.parametrize(
+    "spec, n", [("anchor-swap:8,64,2", 16), ("anti-greedy:16,3/4,128", 32)]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spread_shrink_filler_draws_what_randrange_draws(spec, n, seed):
+    config = GameConfig(n=n, p=8, steps=300, seed=seed)
+    filler, twin = _filler(spec, config, seed), _filler(spec, config, seed)
+    interleaved = 0  # moves with a swapped-in anchor above a working cup
+    for t in range(1, config.steps + 1):
+        move, expected = filler.next_move(t, None), _reference_spread_move(twin)
+        assert (move.cups, move.scaled, move.den) == (expected.cups, expected.scaled,
+                                                      expected.den), t
+        assert filler.rng.getstate() == twin.rng.getstate(), t
+        # an anchor's deposit is the working set's size, a working cup's 1
+        interleaved += list(move.scaled) != sorted(move.scaled, reverse=True)
+    assert filler.events == twin.events
+    assert (interleaved > 0) == spec.startswith("anchor-swap")
 
 
 class TestSpecStrings:

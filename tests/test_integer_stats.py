@@ -72,7 +72,7 @@ def deposit_cumsums(trace):
     cums = [tuple(running)]
     for record in trace.records:
         scale = den // record.fill.den
-        for cup, amount in record.fill.scaled:
+        for cup, amount in zip(record.fill.cups, record.fill.scaled):
             running[cup - 1] += amount * scale
         cums.append(tuple(running))
     return den, cums

@@ -49,8 +49,8 @@ def test_level_series_hand_values():
         1,
         "smoothed-greedy",
         [
-            ({1: rat(3, 2)}, (rat(3, 2), rat(39, 10)), (), (rat(3, 2), rat(39, 10))),
-            ({1: rat(1)}, (rat(5, 2), rat(39, 10)), (), (rat(5, 2), rat(39, 10))),
+            ({1: rat(3, 2)}, (), (rat(3, 2), rat(39, 10))),
+            ({1: rat(1)}, (), (rat(5, 2), rat(39, 10))),
         ],
         initial=(0, rat(39, 10)),
     )
@@ -79,9 +79,9 @@ def test_crossing_counts_boundaries():
         1,
         "smoothed-greedy",
         [
-            ({1: rat(1)}, (rat(2),), (), (rat(2),)),  # 1 -> 2 crosses s=2
-            ({1: rat(1, 2)}, (rat(5, 2),), (), (rat(5, 2),)),  # 2 -> 5/2: none
-            ({1: rat(1, 2)}, (rat(3),), (), (rat(3),)),  # 5/2 -> 3 crosses s=3
+            ({1: rat(1)}, (), (rat(2),)),  # 1 -> 2 crosses s=2
+            ({1: rat(1, 2)}, (), (rat(5, 2),)),  # 2 -> 5/2: none
+            ({1: rat(1, 2)}, (), (rat(3),)),  # 5/2 -> 3 crosses s=3
         ],
         initial=(1,),
     )
@@ -95,7 +95,7 @@ def test_max_level_tracks_peak_backlog():
         1,
         1,
         "smoothed-greedy",
-        [({1: rat(1)}, (rat(5),), (), (rat(5),))],
+        [({1: rat(1)}, (), (rat(5),))],
         initial=(4,),
     )
     assert max_level(trace) == 3  # fill 5 is active at gates 0, 2, 4
@@ -124,7 +124,7 @@ def test_truncated_tail_flags_forged_overflow():
         3,
         1,
         "greedy",
-        [({1: rat(1)}, (rat(3), rat(2), rat(0)), (), (rat(3), rat(2), rat(0)))],
+        [({1: rat(1)}, (), (rat(3), rat(2), rat(0)))],
         truncation=2,
     )
     report = check_truncated_invariant(trace)
@@ -179,7 +179,7 @@ def test_cup_reset_flags_forged_jump():
         2,
         1,
         "greedy",
-        [({1: rat(1)}, (rat(2), rat(0)), (), (rat(2), rat(0)))],
+        [({1: rat(1)}, (), (rat(2), rat(0)))],
     )
     report = check_cup_reset(trace)
     assert not report.passed
@@ -234,7 +234,7 @@ def test_record_gap_flags_forged_spike():
         2,
         1,
         "greedy",
-        [({1: rat(1)}, (rat(3), rat(0)), (), (rat(3), rat(0)))],
+        [({1: rat(1)}, (), (rat(3), rat(0)))],
     )
     report = check_record_constraints(trace)
     assert not report.passed
@@ -267,7 +267,6 @@ def test_single_av_flags_forged_overfull_state():
         [
             (
                 {1: rat(1)},
-                (rat(3, 2), rat(3, 2)),
                 (),
                 (rat(3, 2), rat(3, 2)),
             )
@@ -309,7 +308,7 @@ def test_level_conservation_flags_forged_jump():
         1,
         1,
         "smoothed-greedy",
-        [({1: rat(1, 2)}, (rat(1, 2),), (), (rat(5),))],
+        [({1: rat(1, 2)}, (), (rat(5),))],
     )
     report = check_level_conservation(trace, 1)
     assert not report.passed
@@ -334,7 +333,7 @@ def idle_pileup(steps=20):
     fill = rat(0)
     for _ in range(steps):
         fill += 1
-        rows.append(({1: rat(1)}, (fill, rat(0)), (), (fill, rat(0))))
+        rows.append(({1: rat(1)}, (), (fill, rat(0))))
     return forge(2, 1, "smoothed-greedy", rows)
 
 
@@ -358,7 +357,7 @@ def test_filler_progress_flags_idle_emptier():
 
 
 def test_filler_progress_guard():
-    rows = [({1: rat(1)}, (rat(1), rat(0)), (), (rat(1), rat(0)))]
+    rows = [({1: rat(1)}, (), (rat(1), rat(0)))]
     trace = forge(2, 1, "greedy", rows)
     with pytest.raises(PreconditionError):
         check_filler_progress(trace, 1)
@@ -382,7 +381,7 @@ def test_working_set_flags_wide_crossing_set():
     for _ in range(4):
         fills = [fill + 1 for fill in fills]
         move = {cup: rat(1) for cup in range(1, 5)}
-        rows.append((move, tuple(fills), (), tuple(fills)))
+        rows.append((move, (), tuple(fills)))
     trace = forge(4, 1, "smoothed-greedy", rows)
     report = check_working_set(trace, 2, window=8)
     assert not report.passed
@@ -401,7 +400,6 @@ def test_working_set_flags_cheap_recrossings():
         rows.append(
             (
                 {1: rat(1, 5)},
-                (rat(21, 10), rat(0)),
                 ((1, rat(1, 5)),),
                 (rat(19, 10), rat(0)),
             )
@@ -435,7 +433,7 @@ def test_fractional_flags_forged_residue_shift():
         1,
         1,
         "smoothed-greedy",
-        [({}, (rat(1, 3),), (), (rat(1, 2),))],
+        [({}, (), (rat(1, 2),))],
         initial=(rat(1, 3),),
     )
     report = check_fractional_preservation(trace)
@@ -593,7 +591,7 @@ def test_reports_serialize_rationals_as_text():
             1,
             1,
             "smoothed-greedy",
-            [({}, (rat(1, 3),), (), (rat(1, 2),))],
+            [({}, (), (rat(1, 2),))],
             initial=(rat(1, 3),),
         )
     )
@@ -615,7 +613,7 @@ def test_levelled_suite_reports_include_level_of_failure():
     for _ in range(4):
         fills = [fill + 1 for fill in fills]
         move = {cup: rat(1) for cup in range(1, 5)}
-        rows.append((move, tuple(fills), (), tuple(fills)))
+        rows.append((move, (), tuple(fills)))
     trace = forge(4, 1, "smoothed-greedy", rows)
     reports = run_checkers(trace, names=["working-set"], window=8)
     assert not reports[0].passed

@@ -406,8 +406,7 @@ def illegal_games():
 def with_illegal_step(trace, move, selection):
     """forge's copy of trace's steps, then one step playing move and selection."""
     steps = [
-        (dict(r.fill.amounts), r.intermediate.fills, [(cup, None) for cup in r.drained],
-         r.post.fills)
+        (dict(r.fill.amounts), [(cup, None) for cup in r.drained], r.post.fills)
         for r in trace.records
     ]
     inter = list(trace.states()[-1].fills)
@@ -417,7 +416,7 @@ def with_illegal_step(trace, move, selection):
     for cup in selection:
         if cup <= len(post):
             post[cup - 1] -= min(1, post[cup - 1])
-    steps.append((dict(move.amounts), inter, [(cup, None) for cup in selection], post))
+    steps.append((dict(move.amounts), [(cup, None) for cup in selection], post))
     config = trace.config
     return forge(config.n, config.p, config.emptier, steps, initial=trace.initial.fills,
                  truncation=config.truncation)
