@@ -396,7 +396,8 @@ def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -
         emptier = make_emptier(config.emptier)
     filler = build_filler(config, filler)
 
-    offsets = emptier.initial_fills(config, stream(config.seed, OFFSET_LABEL))
+    initial_fills = getattr(emptier, "initial_fills", None)  # optional: no offsets
+    offsets = initial_fills(config, stream(config.seed, OFFSET_LABEL)) if initial_fills else None
     initial = CupState(offsets) if offsets is not None else CupState.zeros(config.n)
 
     records: list[StepRecord] = []

@@ -174,28 +174,18 @@ def backlog_frequency_experiment(base_config: GameConfig, seeds: int, threshold)
 # offset Monte Carlo
 
 
-class _ScriptedCup:
-    """Oblivious filler: a fixed deposit sequence into cup 1, one per step."""
-
-    needs_adaptive = False
-
-    def __init__(self, amounts):
-        self.amounts = amounts
-
-    def next_move(self, t, view):
-        return FillMove({1: self.amounts[t - 1]})
-
-
 def crossing_probability_experiment(deposits, seeds: int):
     """Fraction of offset draws in which the last scripted deposit crosses.
 
-    Replays the deposit script into a lone cup against the smoothed greedy
-    emptier under `seeds` independent offset draws and reports how often the
-    final deposit pushes the cup's fill past an integer.  Removals ahead of
-    the final deposit are whole units, so the fill's fractional part stays
-    uniform and the exact crossing probability equals the deposit's
-    fractional size.
+    Replays the deposit script into a lone cup, one deposit per step, as an
+    ObliviousFiller against the smoothed greedy emptier under `seeds`
+    independent offset draws and reports how often the final deposit pushes
+    the cup's fill past an integer.  Removals ahead of the final deposit are
+    whole units, so the fill's fractional part stays uniform and the exact
+    crossing probability equals the deposit's fractional size.
     """
+    from .fillers import ObliviousFiller
+
     if seeds < 100:
         raise ValueError(f"need at least 100 seeds for a usable estimate, got {seeds}")
     deposits = [as_rat(amount) for amount in deposits]
@@ -210,7 +200,7 @@ def crossing_probability_experiment(deposits, seeds: int):
             n=1, p=1, steps=len(deposits), seed=seed, emptier="smoothed-greedy",
             visibility=OBLIVIOUS,
         )
-        trace = run_game(config, filler=_ScriptedCup(deposits))
+        trace = run_game(config, filler=ObliviousFiller(FillMove({1: a}) for a in deposits))
         last = trace.records[-1]
         if floor_rat(last.intermediate.fill_of(1)) > floor_rat(last.prev.fill_of(1)):
             hits += 1

@@ -17,7 +17,8 @@ SpreadShrinkFiller (oblivious: it never sees the emptier or any cup state)
     Phases of rounds; each round deposits 1 unit per anchor (cups 1..p-1 at
     the start) and spreads 1 unit over a working set B of the smallest-
     numbered non-anchor cups that loses one random member per step (future
-    deposits only; fills persist).
+    deposits only; fills persist).  Its moves are one generator, its loops
+    the construction's phases, rounds and steps, played by ObliviousFiller.
 
     anchor-swap   P phases of R rounds of L steps, |B| = L+1; one random
                   round per phase replaces a random anchor with the round's
@@ -32,7 +33,10 @@ random        legal fuzz moves: random support, random small-denominator
               one is configured, which needs adaptive visibility).  It draws
               exactly the getrandbits calls that random.sample and randrange
               would, so seeds frozen from those calls replay.
-zero          deposits nothing.
+zero          deposits nothing: an ObliviousFiller with no moves.
+
+ObliviousFiller plays any fixed iterable of FillMoves, a script or a
+generator, then the empty move.
 
 Spec strings: "zero", "random:DENSITY", "harmonic", "growth",
 "anchor-swap:P,R,L", "anti-greedy:ELL,C,PHASES"; trailing parameters may be
@@ -48,19 +52,27 @@ out the amounts' common factor with one gcd at the end.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .engine import ConfigError, FillMove, GameConfig, parse_spec
 from .rational import as_rat, floor_rat, parse_rat, rat
 
 AMOUNT_DEN = 840  # lcm(1..8): every amount the random filler draws is k/840
+_NO_MOVE = FillMove._wrap((), (), 1)
 
 
-class ZeroFiller:
+class ObliviousFiller:
+    """Plays a fixed sequence of FillMoves, then the empty move; with none it
+    is the zero filler.  It never reads its view."""
+
     needs_adaptive = False
 
+    def __init__(self, moves=()):
+        self._moves = iter(moves)
+
     def next_move(self, t, view) -> FillMove:
-        return FillMove({})
+        return next(self._moves, _NO_MOVE)
 
 
 class RandomFiller:
@@ -194,7 +206,7 @@ class ShrinkingPassFiller:
         return FillMove._wrap(cups, (size,) * len(self.anchors) + (1,) * size, size)
 
 
-class SpreadShrinkFiller:
+class SpreadShrinkFiller(ObliviousFiller):
     """Oblivious phases of rounds, each round a spread-and-shrink pass.
 
     A round lasts round_steps steps over a working set of the round_steps + 1
@@ -206,112 +218,70 @@ class SpreadShrinkFiller:
     swap round is drawn and a phase is one round, logged as phase events.
     """
 
-    needs_adaptive = False
-
     def __init__(self, config: GameConfig, rng, phases: int, rounds: int,
                  round_steps: int, swaps: bool):
-        self.config = config
         self.rng = rng
         self.phases = phases
         self.rounds = rounds
         self.round_steps = round_steps
         self.phase_steps = rounds * round_steps
         self.natural_steps = phases * self.phase_steps
-        self.swaps = swaps
         self.anchors: list[int] = list(range(1, config.p))
         self.events: list[dict] = []
-        self._phase = -1
-        self._round = rounds - 1
-        self._step = round_steps  # forces a fresh phase and round on first use
-        self._working: list[int] = []
-        self._swap_round = None
+        super().__init__(_spread_shrink(config.n, rng, self.anchors, self.events,
+                                        rounds, round_steps, swaps))
 
-    def _begin_round(self):
-        if self._round + 1 >= self.rounds:
-            self._phase += 1
-            self._round = -1
-            if self.swaps:
-                self._swap_round = self.rng.randrange(self.rounds)
-                self.events.append(
-                    {
-                        "type": "phase_start",
-                        "phase": self._phase,
-                        "new_anchor_round": self._swap_round,
-                        "anchors": tuple(self.anchors),
-                    }
-                )
-        self._round += 1
-        self._step = 0
-        anchors = set(self.anchors)
-        self._working = [
-            cup for cup in range(1, self.config.n + 1) if cup not in anchors
-        ][: self.round_steps + 1]
-        working = tuple(self._working)
-        if self.swaps:
-            self.events.append(
-                {"type": "round_start", "phase": self._phase, "round": self._round,
-                 "working": working}
-            )
-        else:
-            self.events.append(
-                {"type": "phase_start", "phase": self._phase, "working": working}
-            )
 
-    def _end_round(self):
-        survivor = self._working[0]
-        if not self.swaps:
-            self.events.append(
-                {"type": "phase_end", "phase": self._phase, "survivor": survivor}
-            )
-            return
-        swapping = self._round == self._swap_round
-        if swapping and self.anchors:
-            out = self.anchors[self.rng.randrange(len(self.anchors))]
-            self.anchors.remove(out)
-            self.anchors.append(survivor)
-            self.anchors.sort()
-            self.events.append(
-                {
-                    "type": "anchor_swap",
-                    "phase": self._phase,
-                    "round": self._round,
-                    "out": out,
-                    "in": survivor,
-                    "anchors": tuple(self.anchors),
-                }
-            )
-        self.events.append(
-            {
-                "type": "round_end",
-                "phase": self._phase,
-                "round": self._round,
-                "survivor": survivor,
-                "new_anchor_round": swapping,
-            }
-        )
-
-    def next_move(self, t, view) -> FillMove:
-        if self._step >= self.round_steps:  # previous round complete, or first call
-            self._begin_round()
-        anchors, working = self.anchors, self._working
-        size = len(working)
-        if anchors and anchors[-1] > working[0]:  # a swapped-in anchor above working cups
-            pairs = sorted([(cup, size) for cup in anchors] + [(cup, 1) for cup in working])
-            cups, scaled = zip(*pairs)
-        else:  # both lists keep id order
-            cups, scaled = (*anchors, *working), (size,) * len(anchors) + (1,) * size
-        move = FillMove._wrap(cups, scaled, size)
-        # the victim is randrange(size): _randbelow's loop over size.bit_length() bits
-        getrandbits = self.rng.getrandbits
-        bits = size.bit_length()
-        victim = getrandbits(bits)
-        while victim >= size:
-            victim = getrandbits(bits)
-        del working[victim]
-        self._step += 1
-        if self._step >= self.round_steps:
-            self._end_round()
-        return move
+def _spread_shrink(n, rng, anchors, events, rounds, round_steps, swaps):
+    """SpreadShrinkFiller's moves, phase after phase, updating its anchors and
+    events in place.  It holds no reference to the filler, so a finished game
+    leaves no cycle for the collector."""
+    getrandbits = rng.getrandbits
+    for phase in itertools.count():  # no end: phases only sets natural_steps
+        if swaps:
+            swap_round = rng.randrange(rounds)
+            events.append({"type": "phase_start", "phase": phase,
+                           "new_anchor_round": swap_round, "anchors": tuple(anchors)})
+        for round_ in range(rounds):
+            taken = set(anchors)
+            working = [cup for cup in range(1, n + 1) if cup not in taken][: round_steps + 1]
+            if swaps:
+                events.append({"type": "round_start", "phase": phase, "round": round_,
+                               "working": tuple(working)})
+            else:
+                events.append({"type": "phase_start", "phase": phase, "working": tuple(working)})
+            for step in range(round_steps):
+                size = len(working)
+                if anchors and anchors[-1] > working[0]:  # a swapped-in anchor above working cups
+                    pairs = sorted([(cup, size) for cup in anchors] + [(cup, 1) for cup in working])
+                    cups, scaled = zip(*pairs)
+                else:  # both lists keep id order
+                    cups, scaled = (*anchors, *working), (size,) * len(anchors) + (1,) * size
+                move = FillMove._wrap(cups, scaled, size)
+                # the victim is randrange(size): _randbelow's loop over size.bit_length() bits
+                bits = size.bit_length()
+                victim = getrandbits(bits)
+                while victim >= size:
+                    victim = getrandbits(bits)
+                del working[victim]
+                if step < round_steps - 1:
+                    yield move
+            # the round ends, its swap drawn, before its last move is played
+            survivor = working[0]
+            if swaps:
+                swapping = round_ == swap_round
+                if swapping and anchors:
+                    out = anchors[rng.randrange(len(anchors))]
+                    anchors.remove(out)
+                    anchors.append(survivor)
+                    anchors.sort()
+                    events.append({"type": "anchor_swap", "phase": phase, "round": round_,
+                                   "out": out, "in": survivor, "anchors": tuple(anchors)})
+                events.append({"type": "round_end", "phase": phase, "round": round_,
+                               "survivor": survivor, "new_anchor_round": swapping})
+            else:
+                events.append({"type": "phase_end", "phase": phase, "survivor": survivor})
+            yield move
 
 
 def _anchor_swap(config: GameConfig, rng, phases=None, rounds=None, steps=None):
@@ -370,7 +340,7 @@ _FILLERS = {
 def make_filler(spec: str, config: GameConfig, rng):
     name, params = parse_spec(spec, _FILLERS, "filler")
     if name == "zero":
-        return ZeroFiller()
+        return ObliviousFiller()
     if name == "random":
         return RandomFiller(config, rng, *params)
     if name == "harmonic":

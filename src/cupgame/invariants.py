@@ -272,6 +272,7 @@ class LevelStats:
     integer_fill: list[int]  # T(t), t = 0..T
     crossings: list[int]  # index t = 1..T (index 0 unused)
     crossing_cups: list[tuple[int, ...]]  # cups with a crossing at step t
+    drains: list[int]  # index t = 1..T: drained cups whose level fill was >= 2
 
 
 _level_cache: "weakref.WeakKeyDictionary[Trace, dict]" = weakref.WeakKeyDictionary()
@@ -301,25 +302,32 @@ def level_series(trace: Trace, level: int) -> LevelStats:
     integer_fill = []
     crossings = [0]
     crossing_cups: list[tuple[int, ...]] = [()]
+    drains = [0]
     a0, t0 = _state_level_numbers(trace.initial, level)
     active.append(a0)
     integer_fill.append(t0)
     den = _trace_den(trace)
     gate = 2 * (level - 1) * den
+    full = gate + 2 * den  # a level fill >= 2, as a fill over D
     for record in trace.records:
         count = 0
         cups = []
         previous = record.prev
         scale, step = den // previous.den, den // record.fill.den
         fills = previous.scaled
+        deposited = dict.fromkeys(record.drained, 0)  # a drained cup's deposit over D
         for cup, amount in zip(record.fill.cups, record.fill.scaled):
             before = max(fills[cup - 1] * scale - gate, 0)  # h^(i) over D
             hit = (before + amount * step) // den - max(before // den, 1)
             if hit > 0:
                 count += hit
                 cups.append(cup)
+            if cup in deposited:
+                deposited[cup] = amount * step
         crossings.append(count)
         crossing_cups.append(tuple(cups))
+        drains.append(sum(fills[cup - 1] * scale + deposited[cup] >= full
+                          for cup in record.drained))
         a, ti = _state_level_numbers(record.post, level)
         active.append(a)
         integer_fill.append(ti)
@@ -329,6 +337,7 @@ def level_series(trace: Trace, level: int) -> LevelStats:
         integer_fill=integer_fill,
         crossings=crossings,
         crossing_cups=crossing_cups,
+        drains=drains,
     )
     cache[level] = stats
     return stats
@@ -368,11 +377,8 @@ def check_level_conservation(trace: Trace, level: int) -> InvariantReport:
     _require(trace, "level-conservation")
     stats = level_series(trace, level)
     params = {"level": level}
-    for t, record in enumerate(trace.records, start=1):
-        inter = record.intermediate
-        full = 2 * level * inter.den  # level fill >= 2 iff fill >= 2 * level
-        drains = sum(1 for cup in record.drained if inter.scaled[cup - 1] >= full)
-        expected = stats.integer_fill[t - 1] + stats.crossings[t] - drains
+    for t in range(1, trace.steps_executed + 1):
+        expected = stats.integer_fill[t - 1] + stats.crossings[t] - stats.drains[t]
         if stats.integer_fill[t] != expected:
             return InvariantReport(
                 "level-conservation",
@@ -383,7 +389,7 @@ def check_level_conservation(trace: Trace, level: int) -> InvariantReport:
                     "integer_fill": stats.integer_fill[t],
                     "expected": expected,
                     "crossings": stats.crossings[t],
-                    "drains": drains,
+                    "drains": stats.drains[t],
                 },
             )
     return InvariantReport("level-conservation", True, params)

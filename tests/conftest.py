@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from cupgame.engine import (
     CupState,
     EmptyMove,
@@ -11,33 +13,23 @@ from cupgame.engine import (
     Trace,
     run_game,
 )
+from cupgame.fillers import ObliviousFiller
 from cupgame.rational import as_rat, rat
 
 
-class ScriptFiller:
+class ScriptFiller(ObliviousFiller):
     """Plays a fixed list of moves, then nothing."""
 
-    needs_adaptive = False
-
     def __init__(self, moves):
-        self.moves = [FillMove(move) for move in moves]
-
-    def next_move(self, t, view):
-        if t <= len(self.moves):
-            return self.moves[t - 1]
-        return FillMove({})
+        self.moves = tuple(FillMove(move) for move in moves)
+        super().__init__(self.moves)
 
 
-class ConstantFiller:
+class ConstantFiller(ObliviousFiller):
     """Plays the same move every step."""
 
-    needs_adaptive = False
-
     def __init__(self, move):
-        self.move = FillMove(move)
-
-    def next_move(self, t, view):
-        return self.move
+        super().__init__(itertools.repeat(FillMove(move)))
 
 
 def play(n, p, steps, *, filler=None, emptier=None, seed=0, **kwargs):

@@ -20,8 +20,9 @@ FUZZ = ("--steps", "500", "--seed", "0", "--filler", "random:1/2")
 
 # name -> (run arguments, {artifact: sha256})
 RUNS = {
-    # C3's six fuzz configs at seed 0, the growth construction, and a capped
-    # run whose denominator rises mid-run
+    # C3's six fuzz configs at seed 0, a p = 1 greedy game (top_cups(1)), the
+    # growth construction, a capped run whose denominator rises mid-run, and
+    # C8's two oblivious constructions over their first 300 steps
     "fuzz-n8-p1-greedy": (
         FUZZ + ("--n", "8", "--p", "1", "--emptier", "greedy", "--truncate", "12"),
         {
@@ -47,6 +48,15 @@ RUNS = {
             "summary.json": "1c4d3598d4488076d4cd92e80bb593ec93165bff506995ee8a85f5b1fb0fa9e1",
             "report.json": "c157de14a7c1eec00fe73d1436aacf2508297890bd6f837e630f7d095ad59f45",
             "backlog.svg": "338a9cb2a8b57968389e768ebb9d32f4f9b3460d4ee36e3f736fba9a567d2699",
+        },
+    ),
+    "fuzz-n16-p1-greedy": (
+        FUZZ + ("--n", "16", "--p", "1", "--emptier", "greedy"),
+        {
+            "trace.csv": "cabc588a6d8270e36d4f16dd445abd29b67f5992ad052995a4119bfe47cab95f",
+            "summary.json": "d1982def7ae58a132dff9c4e16f27e63310bb7590703959024434a69b623418a",
+            "report.json": "17082b41ec36ca8b44fd1987465da1175d76515230c9c75dc92c55069916be82",
+            "backlog.svg": "039e3fa55509ca8f70983462eaac94506e1e673bf59b26e1a837f4a0320f8b57",
         },
     ),
     "fuzz-n8-p1-smoothed": (
@@ -93,6 +103,26 @@ RUNS = {
             "summary.json": "34aa3d5264c51d008c0adcc54bd7b18443eb51764c3c02337d3c0a9bf0763590",
             "report.json": "076781c208245e3bfa430a4488e081eece172baae2a85b89564a250462345758",
             "backlog.svg": "8d3da3a3833050099bd4e92cdb9bcba518d156ca9037786c1010c594d1b22465",
+        },
+    ),
+    "anchor-swap-n16-p8": (
+        ("--n", "16", "--p", "8", "--steps", "300", "--seed", "0",
+         "--filler", "anchor-swap:8,64,2", "--emptier", "smoothed-greedy"),
+        {
+            "trace.csv": "8680da3c5d083f8d927b386a6a91b0bd61c757290db3af420116c799e1d753cc",
+            "summary.json": "16b35df24a0a19633f4807d4e85518f30ad2227d3ffabe984517385e6ac1c97f",
+            "report.json": "d6f4559a689d3121ec6e9219080b5cb369606e9083324326f64f4dba2b98f8bc",
+            "backlog.svg": "090485bfab225a5076290d56b942e980ed79492d2e1ad791701bde72a864aac3",
+        },
+    ),
+    "anti-greedy-n32-p8": (
+        ("--n", "32", "--p", "8", "--steps", "300", "--seed", "0",
+         "--filler", "anti-greedy:16,3/4,128", "--emptier", "smoothed-greedy"),
+        {
+            "trace.csv": "a676b9e6b6d48e355b7ed73d4dc89fa5fba9e5071700d97a9f9a1bd682a40d72",
+            "summary.json": "90c338e0cd11c420e440b6b664ff74fc37edb9dfdf0ed80dc711d88f80f781cf",
+            "report.json": "b547068d78de64bc9c30d1f52300f4122b2cac0c71548433f3c3a3eb4438f875",
+            "backlog.svg": "4180cb3de0128ba28ef093729e1e989b8727885f6a898456cfb5b036a059c0fd",
         },
     ),
 }

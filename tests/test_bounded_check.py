@@ -16,7 +16,7 @@ import tracemalloc
 import pytest
 
 from cupgame import invariants
-from cupgame.engine import GameConfig, run_game
+from cupgame.engine import GameConfig, apply_fill, run_game
 from cupgame.invariants import (
     SMOOTHED,
     InvariantReport,
@@ -41,7 +41,7 @@ def oracle_level_series(trace, level):
     den, cums = deposit_cumsums(trace)
     gate = 2 * (level - 1) * den
     states = trace.states()
-    stats = LevelStats(level, [], [], [0], [()])
+    stats = LevelStats(level, [], [], [0], [()], [0])
     for t, state in enumerate(states):
         whole = [scaled // state.den for scaled in state.scaled]
         stats.active.append(sum(1 for fill in whole if fill >= 2 * (level - 1)))
@@ -60,6 +60,10 @@ def oracle_level_series(trace, level):
                 cups.append(cup)
         stats.crossings.append(count)
         stats.crossing_cups.append(tuple(cups))
+        record = trace.records[t - 1]
+        inter = apply_fill(previous, record.fill)
+        stats.drains.append(sum(
+            1 for cup in record.drained if inter.scaled[cup - 1] >= 2 * level * inter.den))
     return stats
 
 

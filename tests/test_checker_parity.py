@@ -16,7 +16,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupgame.engine import GameConfig, run_game
+from cupgame.engine import GameConfig, apply_fill, run_game
 from cupgame.invariants import (
     CHECKERS,
     GREEDY,
@@ -138,9 +138,9 @@ def ref_level_numbers(state, level):
 
 
 def ref_level_series(trace, level):
-    """(active, integer_fill, crossings, crossing_cups), as LevelStats holds them."""
+    """(active, integer_fill, crossings, crossing_cups, drains), as LevelStats holds them."""
     active, integer_fill = [], []
-    crossings, crossing_cups = [0], [()]
+    crossings, crossing_cups, drains = [0], [()], [0]
     for state in trace.states():
         a, ti = ref_level_numbers(state, level)
         active.append(a)
@@ -157,8 +157,11 @@ def ref_level_series(trace, level):
                 cups.append(cup)
         crossings.append(count)
         crossing_cups.append(tuple(cups))
+        inter = apply_fill(previous, record.fill)
+        drains.append(sum(
+            1 for cup in record.drained if ref_level_fill(inter.fill_of(cup), level) >= 2))
         previous = record.post
-    return active, integer_fill, crossings, crossing_cups
+    return active, integer_fill, crossings, crossing_cups, drains
 
 
 def ref_max_level(trace):
@@ -179,7 +182,7 @@ def ref_cumsums(trace):
 
 
 def ref_level_conservation(trace, level):
-    _, integer_fill, crossings, _ = ref_level_series(trace, level)
+    _, integer_fill, crossings, _, _ = ref_level_series(trace, level)
     params = {"level": level}
     for t, record in enumerate(trace.records, start=1):
         drains = sum(
@@ -205,7 +208,7 @@ def ref_filler_progress(trace, level):
     log2n = _log2(n)
     threshold = PROGRESS_D * (p - 1) * log2n
     slack = PROGRESS_D * p * log2n
-    _, integer_fill, crossings, _ = ref_level_series(trace, level)
+    _, integer_fill, crossings, _, _ = ref_level_series(trace, level)
     params = {"level": level, "d": PROGRESS_D, "threshold": threshold}
     cumulative = [0]
     for count in crossings[1:]:
@@ -232,7 +235,7 @@ def ref_filler_progress(trace, level):
 
 def ref_working_set(trace, level, window):
     p = trace.config.p
-    active, _, crossings, crossing_cups = ref_level_series(trace, level)
+    active, _, crossings, crossing_cups, _ = ref_level_series(trace, level)
     cums = ref_cumsums(trace)
     params = {"level": level, "window": window}
     steps = trace.steps_executed
@@ -319,7 +322,8 @@ def assert_checkers_agree(trace, window=8):
     if trace.config.emptier == SMOOTHED:
         for level in range(1, ref_max_level(trace) + 2):
             stats = level_series(trace, level)
-            got = (stats.active, stats.integer_fill, stats.crossings, stats.crossing_cups)
+            got = (stats.active, stats.integer_fill, stats.crossings, stats.crossing_cups,
+                   stats.drains)
             assert got == ref_level_series(trace, level), level
     return names
 

@@ -194,6 +194,18 @@ class TestRunLoop:
         assert trace.violation.source == "emptier"
         assert trace.steps_executed == 0
 
+    def test_emptier_with_only_select_starts_from_zeros(self):
+        class Mine:  # the library's minimal emptier: no initial_fills
+            def select(self, state, p):
+                return EmptyMove(state.top_cups(p))
+
+        config = GameConfig(n=4, p=1, steps=3, filler="random:1/2")
+        trace = run_game(config, emptier=Mine())
+        assert trace.violation is None and trace.steps_executed == 3
+        assert trace.initial == CupState.zeros(4)
+        greedy = run_game(config)  # greedy draws no offsets either
+        assert [r.post for r in trace.records] == [r.post for r in greedy.records]
+
     def test_water_conservation(self):
         config = GameConfig(n=5, p=2, steps=50, seed=9, filler="random")
         trace = run_game(config)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -19,10 +21,10 @@ from cupgame.engine import (
 )
 from cupgame.fillers import (
     AMOUNT_DEN,
+    ObliviousFiller,
     RandomFiller,
     ShrinkingPassFiller,
     SpreadShrinkFiller,
-    ZeroFiller,
     make_filler,
 )
 from cupgame.rational import format_rat, rat
@@ -360,21 +362,123 @@ def test_random_filler_draws_what_sample_and_randrange_draw(n):
                     assert trace.steps_executed == 25
 
 
-def _reference_spread_move(filler):
-    """SpreadShrinkFiller.next_move as it was before its victim draw was
-    inlined: rng.randrange picks the victim and list.remove deletes it."""
-    if filler._step >= filler.round_steps:
-        filler._begin_round()
-    size = len(filler._working)
-    pairs = [(cup, size) for cup in filler.anchors]
-    pairs.extend((cup, 1) for cup in filler._working)
-    pairs.sort()
-    victim = filler._working[filler.rng.randrange(len(filler._working))]
-    filler._working.remove(victim)
-    filler._step += 1
-    if filler._step >= filler.round_steps:
-        filler._end_round()
-    return FillMove._wrap(tuple(cup for cup, _ in pairs), tuple(x for _, x in pairs), size)
+class _ReferenceSpreadShrink:
+    """SpreadShrinkFiller as the state machine it was before its moves became
+    one generator of phases, rounds and steps, with its victim drawn as before
+    that draw was inlined: rng.randrange picks it and list.remove deletes it.
+    A round begins lazily, on the first move asked of it, and ends eagerly,
+    after its last move's draw."""
+
+    def __init__(self, config, rng, phases, rounds, round_steps, swaps):
+        self.config = config
+        self.rng = rng
+        self.rounds = rounds
+        self.round_steps = round_steps
+        self.swaps = swaps
+        self.anchors = list(range(1, config.p))
+        self.events = []
+        self._phase = -1
+        self._round = rounds - 1
+        self._step = round_steps  # forces a fresh phase and round on first use
+        self._working = []
+        self._swap_round = None
+
+    def _begin_round(self):
+        if self._round + 1 >= self.rounds:
+            self._phase += 1
+            self._round = -1
+            if self.swaps:
+                self._swap_round = self.rng.randrange(self.rounds)
+                self.events.append(
+                    {
+                        "type": "phase_start",
+                        "phase": self._phase,
+                        "new_anchor_round": self._swap_round,
+                        "anchors": tuple(self.anchors),
+                    }
+                )
+        self._round += 1
+        self._step = 0
+        anchors = set(self.anchors)
+        self._working = [
+            cup for cup in range(1, self.config.n + 1) if cup not in anchors
+        ][: self.round_steps + 1]
+        working = tuple(self._working)
+        if self.swaps:
+            self.events.append(
+                {"type": "round_start", "phase": self._phase, "round": self._round,
+                 "working": working}
+            )
+        else:
+            self.events.append(
+                {"type": "phase_start", "phase": self._phase, "working": working}
+            )
+
+    def _end_round(self):
+        survivor = self._working[0]
+        if not self.swaps:
+            self.events.append(
+                {"type": "phase_end", "phase": self._phase, "survivor": survivor}
+            )
+            return
+        swapping = self._round == self._swap_round
+        if swapping and self.anchors:
+            out = self.anchors[self.rng.randrange(len(self.anchors))]
+            self.anchors.remove(out)
+            self.anchors.append(survivor)
+            self.anchors.sort()
+            self.events.append(
+                {
+                    "type": "anchor_swap",
+                    "phase": self._phase,
+                    "round": self._round,
+                    "out": out,
+                    "in": survivor,
+                    "anchors": tuple(self.anchors),
+                }
+            )
+        self.events.append(
+            {
+                "type": "round_end",
+                "phase": self._phase,
+                "round": self._round,
+                "survivor": survivor,
+                "new_anchor_round": swapping,
+            }
+        )
+
+    def next_move(self, t, view):
+        if self._step >= self.round_steps:
+            self._begin_round()
+        size = len(self._working)
+        pairs = [(cup, size) for cup in self.anchors]
+        pairs.extend((cup, 1) for cup in self._working)
+        pairs.sort()
+        victim = self._working[self.rng.randrange(len(self._working))]
+        self._working.remove(victim)
+        self._step += 1
+        if self._step >= self.round_steps:
+            self._end_round()
+        return FillMove._wrap(tuple(cup for cup, _ in pairs), tuple(x for _, x in pairs), size)
+
+
+def _assert_plays_like_the_state_machine(spec, config):
+    """Equal moves, rng state, events and anchors after every move."""
+    filler = _filler(spec, config, config.seed)
+    twin = _ReferenceSpreadShrink(config, stream(config.seed, FILLER_LABEL), filler.phases,
+                                  filler.rounds, filler.round_steps,
+                                  swaps=spec.startswith("anchor-swap"))
+    interleaved = 0  # moves with a swapped-in anchor above a working cup
+    for t in range(1, config.steps + 1):
+        move, expected = filler.next_move(t, None), twin.next_move(t, None)
+        assert (move.cups, move.scaled, move.den) == (expected.cups, expected.scaled,
+                                                      expected.den), t
+        assert filler.rng.getstate() == twin.rng.getstate(), t
+        assert filler.events == twin.events, t
+        assert filler.anchors == twin.anchors, t
+        # an anchor's deposit is the working set's size, a working cup's 1
+        interleaved += list(move.scaled) != sorted(move.scaled, reverse=True)
+    assert (interleaved > 0) == spec.startswith("anchor-swap")
 
 
 @pytest.mark.parametrize(
@@ -382,25 +486,40 @@ def _reference_spread_move(filler):
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spread_shrink_filler_draws_what_randrange_draws(spec, n, seed):
-    config = GameConfig(n=n, p=8, steps=300, seed=seed)
-    filler, twin = _filler(spec, config, seed), _filler(spec, config, seed)
-    interleaved = 0  # moves with a swapped-in anchor above a working cup
-    for t in range(1, config.steps + 1):
-        move, expected = filler.next_move(t, None), _reference_spread_move(twin)
-        assert (move.cups, move.scaled, move.den) == (expected.cups, expected.scaled,
-                                                      expected.den), t
-        assert filler.rng.getstate() == twin.rng.getstate(), t
-        # an anchor's deposit is the working set's size, a working cup's 1
-        interleaved += list(move.scaled) != sorted(move.scaled, reverse=True)
-    assert filler.events == twin.events
-    assert (interleaved > 0) == spec.startswith("anchor-swap")
+    _assert_plays_like_the_state_machine(spec, GameConfig(n=n, p=8, steps=300, seed=seed))
+
+
+# C8's two configs at their full lengths, anti-greedy stopped mid-round
+# (65 = 5 * 11 + 10) and anchor-swap played far past its natural length of 2
+@pytest.mark.parametrize("spec, n, steps", [
+    ("anchor-swap:8,64,2", 16, 1024),
+    ("anti-greedy:16,3/4,128", 32, 1408),
+    ("anti-greedy:16,3/4,128", 32, 65),
+    ("anchor-swap:1,1,2", 16, 61),
+])
+@pytest.mark.parametrize("seed", range(5))
+def test_spread_shrink_filler_plays_what_the_state_machine_played(spec, n, steps, seed):
+    _assert_plays_like_the_state_machine(spec, GameConfig(n=n, p=8, steps=steps, seed=seed))
+
+
+def test_a_spread_shrink_filler_is_freed_without_the_cycle_collector():
+    # its move generator holds the filler's lists, never the filler itself
+    filler = _filler("anchor-swap:8,64,2", GameConfig(n=16, p=8, steps=1))
+    filler.next_move(1, None)
+    gone = weakref.ref(filler)
+    gc.disable()
+    try:
+        del filler
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 class TestSpecStrings:
     def test_factory_round_trips(self):
         config = GameConfig(n=10, p=2, steps=1)
         rng = stream(0, FILLER_LABEL)
-        assert isinstance(make_filler("zero", config, rng), ZeroFiller)
+        assert type(make_filler("zero", config, rng)) is ObliviousFiller
         assert isinstance(make_filler("harmonic", config, rng), ShrinkingPassFiller)
         assert isinstance(make_filler("growth", config, rng), ShrinkingPassFiller)
         assert isinstance(make_filler("random:1/4", config, rng), RandomFiller)
@@ -410,6 +529,15 @@ class TestSpecStrings:
         anti = make_filler("anti-greedy:8,1/2,4", config, rng)
         assert isinstance(anti, SpreadShrinkFiller)
         assert (anti.ell, anti.c, anti.phases) == (8, rat(1, 2), 4)
+
+    @pytest.mark.parametrize("spec", ["zero", "anchor-swap:2,3,2", "anti-greedy:8,1/2,4"])
+    def test_each_call_builds_a_fresh_move_stream(self, spec):
+        config = GameConfig(n=10, p=2, steps=1)
+        first = make_filler(spec, config, stream(0, FILLER_LABEL))
+        moves = [first.next_move(t, None) for t in range(1, 8)]
+        second = make_filler(spec, config, stream(0, FILLER_LABEL))
+        assert second is not first and second._moves is not first._moves
+        assert [second.next_move(t, None) for t in range(1, 8)] == moves
 
     def test_defaults_from_p(self):
         config = GameConfig(n=16, p=4, steps=1)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from cupgame.emptiers import GreedyEmptier, SmoothedGreedyEmptier
-from cupgame.engine import EmptyMove, GameConfig, run_game
-from cupgame.experiments import _ScriptedCup
+from cupgame.engine import EmptyMove, FillMove, GameConfig, run_game
+from cupgame.fillers import ObliviousFiller
 from cupgame.rational import rat
 from cupgame.state import CupState
 
@@ -69,7 +69,8 @@ def test_crossing_prob_game_matches_full_sort(seed):
     deposits = [rat(1, 2), rat(1, 3), 1, 0, rat(2, 3), rat(3, 4)] * 20
     config = GameConfig(n=1, p=1, steps=len(deposits), seed=seed,
                         emptier="smoothed-greedy")
-    assert_selections_match(config, SmoothedGreedyEmptier(), True, _ScriptedCup(deposits))
+    filler = ObliviousFiller(FillMove({1: amount}) for amount in deposits)
+    assert_selections_match(config, SmoothedGreedyEmptier(), True, filler)
 
 
 class TestTopCupsOne:

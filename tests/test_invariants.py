@@ -31,8 +31,8 @@ from cupgame.invariants import (
     record_setting_steps,
     run_checkers,
 )
-from cupgame import experiments
 from cupgame.experiments import crossing_probability_experiment
+from cupgame.fillers import ObliviousFiller
 from cupgame.rational import rat
 
 from conftest import ScriptFiller, forge, play
@@ -489,13 +489,13 @@ def test_crossing_probability_rejects_small_samples():
 
 def test_crossing_probability_plays_its_script_obliviously(monkeypatch):
     views = []
-    next_move = experiments._ScriptedCup.next_move
+    next_move = ObliviousFiller.next_move
 
     def spy(self, t, view):
         views.append(view)
         return next_move(self, t, view)
 
-    monkeypatch.setattr(experiments._ScriptedCup, "next_move", spy)
+    monkeypatch.setattr(ObliviousFiller, "next_move", spy)
     crossing_probability_experiment([rat(1, 3), rat(1, 2)], 100)
     assert views == [None] * 200
 
