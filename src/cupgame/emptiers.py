@@ -24,7 +24,7 @@ class GreedyEmptier:
         return None
 
     def select(self, state: CupState, p: int) -> EmptyMove:
-        return EmptyMove._wrap(tuple(sorted(state.top_cups(p))), False)
+        return EmptyMove._wrap(state.top_cups(p), False)
 
 
 class SmoothedGreedyEmptier:
@@ -33,7 +33,7 @@ class SmoothedGreedyEmptier:
         return [dyadic_unit(rng) for _ in range(config.n)]
 
     def select(self, state: CupState, p: int) -> EmptyMove:
-        return EmptyMove._wrap(tuple(sorted(state.top_cups(p))), True)
+        return EmptyMove._wrap(state.top_cups(p), True)
 
 
 class ThresholdBlindEmptier:
@@ -47,10 +47,9 @@ class ThresholdBlindEmptier:
         return None
 
     def select(self, state: CupState, p: int) -> EmptyMove:
-        if p >= state.n:
-            return EmptyMove(range(1, state.n + 1))
-        ranked = state.top_cups(state.n)
-        return EmptyMove(ranked[:1] + ranked[state.n - (p - 1):])
+        # the cups outside the n - p + 1 fullest are the p - 1 emptiest
+        emptiest = set(range(1, state.n + 1)).difference(state.top_cups(state.n - p + 1))
+        return EmptyMove(emptiest.union(state.top_cups(1)))
 
 
 _EMPTIERS = {

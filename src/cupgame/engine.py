@@ -106,15 +106,24 @@ class GameConfig:
             object.__setattr__(self, "truncation", truncation)
 
 
+def _cup_id(cup):
+    """cup, if it is an int (not a bool): a custom strategy's "1", 1.5 or True
+    would otherwise fail mid-step or reach trace.csv as text."""
+    if isinstance(cup, bool) or not isinstance(cup, int):
+        raise ValueError(f"cup id {cup!r} is not an int")
+    return cup
+
+
 class FillMove:
     """Sparse deposits as ints over one denominator, sorted by cup id.
 
     `cups` holds the ids that get water, ascending, and `scaled` their
     deposits times `den`, in the same order; zero deposits are dropped.  The
-    public constructor takes rationals and sets `den` to the lcm of their
-    denominators; the stock fillers build the int form directly (_wrap).
-    A move holds only those ints.  Equality and hashing go by value, through
-    the rational `amounts`, which are built from them on each call.
+    public constructor takes rationals, rejects duplicate and non-int cup
+    ids, and sets `den` to the lcm of their denominators; the stock fillers
+    build the int form directly (_wrap).  A move holds only those ints.
+    Equality and hashing go by value, through the rational `amounts`, which
+    are built from them on each call.
     """
 
     __slots__ = ("cups", "scaled", "den")
@@ -125,7 +134,7 @@ class FillMove:
         cleaned = []
         seen = set()
         for cup, amount in amounts:
-            if cup in seen:
+            if _cup_id(cup) in seen:
                 raise ValueError(f"duplicate cup id {cup} in fill move")
             seen.add(cup)
             amount = as_rat(amount)
@@ -169,15 +178,16 @@ class EmptyMove:
     """Cup selection, sorted; skip_under_one is the removal policy.
 
     The constructor, which custom emptiers use, sorts the cups and rejects
-    duplicates.  _wrap checks nothing: it is for the stock emptiers only,
-    whose cups are already a sorted tuple of distinct ids.
+    duplicates and ids that are not ints.  _wrap checks nothing: it is for
+    the stock emptiers only, whose cups are already a sorted tuple of
+    distinct ids.
     """
 
     cups: tuple[int, ...]
     skip_under_one: bool = False
 
     def __init__(self, cups, skip_under_one: bool = False):
-        cups = tuple(sorted(cups))
+        cups = tuple(sorted(map(_cup_id, cups)))
         if len(set(cups)) != len(cups):
             raise ValueError(f"duplicate cup ids in empty move: {cups}")
         self.cups = cups

@@ -4,9 +4,9 @@ A CupState is an immutable snapshot of n cups, indexed by cup id 1..n, each
 holding an exact rational fill >= 0.  Rank queries use the convention that
 rank 1 is fullest and ties break toward the smaller cup id, so every rank
 query has exactly one answer and identical states always rank identically.
-The tie rule comes from the ranking itself: one stable descending sort of
-the cup ids by fill keeps tied cups in id order; top_cups(1) needs no sort,
-as the first index of the maximum fill is the smallest tied id.
+top_cups(k) is a set, the k fullest cups as ascending ids: the cups above
+the k-th largest fill, and the smallest ids of those tied at it.  Values in
+rank order come from top_scaled, which no tie rule can change.
 
 Fills are Python ints `scaled` over one denominator `den`, so ranks, sums
 and maxima compare ints.  A state built from rationals starts `den` at the
@@ -69,19 +69,29 @@ class CupState:
         """Fill of the rank-th fullest cup (rank 1 = fullest)."""
         if not 1 <= rank <= self.n:
             raise ValueError(f"rank {rank} outside 1..{self.n}")
-        return self.fill_of(self.top_cups(rank)[-1])
+        return rat(self.top_scaled(rank)[-1], self.den)
 
     def top_cups(self, k: int) -> tuple[int, ...]:
-        """The k fullest cup ids in rank order (ties toward smaller id).
+        """The k fullest cups as ascending ids, ties going to the smaller id.
 
-        k = 1 reads the first maximum's index, which is the smallest tied id.
+        One sort of the ints finds the cut, the k-th largest fill; k = 1 reads
+        the first maximum's index instead, and k = 0 or n needs no sort.
         """
-        if not 0 <= k <= self.n:
-            raise ValueError(f"k {k} outside 0..{self.n}")
+        scaled = self.scaled
+        n = len(scaled)
+        if not 0 <= k <= n:
+            raise ValueError(f"k {k} outside 0..{n}")
         if k == 1:
-            return (self.scaled.index(max(self.scaled)) + 1,)
-        ranked = sorted(range(self.n), key=self.scaled.__getitem__, reverse=True)
-        return tuple([index + 1 for index in ranked[:k]])
+            return (scaled.index(max(scaled)) + 1,)
+        if k == 0 or k == n:
+            return tuple(range(1, k + 1))
+        cut = sorted(scaled, reverse=True)[k - 1]
+        top = [cup for cup, fill in enumerate(scaled, 1) if fill >= cut]
+        if len(top) > k:  # more than k cups reach the cut: drop the last tied ids
+            tied = [cup for cup in top if scaled[cup - 1] == cut]
+            dropped = set(tied[k - len(top):])
+            top = [cup for cup in top if cup not in dropped]
+        return tuple(top)
 
     def top_scaled(self, k: int) -> list:
         """The k largest scaled fills (over den), largest first.

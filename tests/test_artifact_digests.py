@@ -128,6 +128,21 @@ RUNS = {
 }
 
 
+# name -> (run arguments, {artifact: sha256}) for games that no checker covers,
+# so `check` exits 2 and there is no report.json: a threshold-blind game with
+# p >= 3, whose selection joins the fullest cup to the p - 1 emptiest
+RUN_ONLY = {
+    "threshold-blind-n16-p4": (
+        ("--n", "16", "--p", "4", "--steps", "200", "--seed", "0",
+         "--filler", "random:1/2", "--emptier", "threshold-blind"),
+        {
+            "trace.csv": "5ef7a7064751db89a13d5dc2318534b448ae0a09a3e0c6d9dce7d3bed266fd17",
+            "summary.json": "6c649684a84410c199cab14f4516c752e43a4d423eaf7c45e79e27cde736e39e",
+        },
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_and_check_write_frozen_bytes(tmp_path, capsys, name):
     argv, digests = RUNS[name]
@@ -137,5 +152,19 @@ def test_run_and_check_write_frozen_bytes(tmp_path, capsys, name):
     got = {
         artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
         for artifact in ARTIFACTS
+    }
+    assert got == digests
+
+
+@pytest.mark.parametrize("name", sorted(RUN_ONLY))
+def test_run_writes_frozen_bytes(tmp_path, capsys, name):
+    argv, digests = RUN_ONLY[name]
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 0
+    assert main(["check", str(tmp_path)]) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "report.json").exists()
+    got = {
+        artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        for artifact in digests
     }
     assert got == digests

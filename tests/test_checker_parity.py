@@ -46,10 +46,9 @@ def ref_tail_scan(trace, name, params, skip, charged, value_key):
     n = trace.config.n
     bounds = _tail_bounds(n, n - skip)
     for t, state in enumerate(trace.states()):
-        fills = state.fills
         mass = ZERO
-        for k, cup in enumerate(state.top_cups(n), start=1 - skip):
-            mass += fills[cup - 1]
+        for k, fill in enumerate(sorted(state.fills, reverse=True), start=1 - skip):
+            mass += fill
             if k > 0 and mass - charged > bounds[k]:
                 value = (mass - charged) / k
                 witness = {"t": t, "k": k, value_key: value, "bound": bounds[k] / k}
@@ -65,7 +64,7 @@ def ref_truncated(trace):
 
 
 def ref_top_fills(state, k):
-    return [state.fills[cup - 1] for cup in state.top_cups(k)]
+    return sorted(state.fills, reverse=True)[:k]
 
 
 def ref_cup_reset(trace):

@@ -78,6 +78,33 @@ class TestThresholdBlind:
             make_emptier("threshold-blind:4,2")
 
 
+def full_sort(state):
+    """Every cup id under the (fill desc, id asc) key."""
+    scaled = state.scaled
+    return sorted(range(1, state.n + 1), key=lambda cup: (-scaled[cup - 1], cup))
+
+
+@pytest.mark.parametrize("filler", ["growth", "harmonic"])
+def test_top_cups_and_threshold_blind_match_the_full_sort_on_tied_states(filler):
+    # C2's n=128 p=4 games: most intermediate states tie at some cut
+    n, p = 128, 4
+    trace = run_game(GameConfig(n=n, p=p, steps=500, filler=filler, emptier="greedy"))
+    assert trace.steps_executed == 500
+    tied_at_p = 0
+    for record in trace.records:
+        state = record.intermediate
+        ranked = full_sort(state)
+        for k in (0, 1, 2, p, p + 1, n - p + 1, n):
+            assert state.top_cups(k) == tuple(sorted(ranked[:k])), (record.t, k)
+        cut = state.scaled[ranked[p - 1] - 1]
+        tied_at_p += sum(fill >= cut for fill in state.scaled) > p
+        for blind_p in (1, 2, p, n - 1, n):
+            move = ThresholdBlindEmptier().select(state, blind_p)
+            expected = ranked[:1] + ranked[n - (blind_p - 1):]
+            assert move.cups == tuple(sorted(expected)), (record.t, blind_p)
+    assert tied_at_p >= 250  # the drop-the-last-tied-ids path is what runs
+
+
 class TestSpecStrings:
     def test_round_trip_specs(self):
         assert isinstance(make_emptier("greedy"), GreedyEmptier)

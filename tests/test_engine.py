@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 from fractions import Fraction
 from types import ModuleType
 
@@ -62,6 +63,27 @@ class TestMoves:
     def test_fill_move_duplicate_rejected(self):
         with pytest.raises(ValueError):
             FillMove([(1, rat(1, 2)), (1, rat(1, 3))])
+
+    @pytest.mark.parametrize(
+        "build,cup",
+        [(lambda cup: FillMove({cup: rat(1, 2)}), 1.5),
+         (lambda cup: EmptyMove([cup]), "1"),
+         (lambda cup: EmptyMove([2, cup]), True)],
+        ids=["fill-float", "empty-str", "empty-bool"],
+    )
+    def test_move_rejects_a_cup_id_that_is_not_an_int(self, build, cup):
+        with pytest.raises(ValueError, match=rf"cup id {re.escape(repr(cup))} is not an int"):
+            build(cup)
+
+    def test_custom_emptier_naming_a_cup_true_fails_before_the_trace(self):
+        # EmptyMove([True]) used to play as cup 1 and reach trace.csv as "True"
+        class Truthy:
+            def select(self, state, p):
+                return EmptyMove([True])
+
+        config = GameConfig(n=3, p=1, steps=5, filler="random:1")
+        with pytest.raises(ValueError, match="cup id True is not an int"):
+            run_game(config, emptier=Truthy())
 
     def test_empty_move_sorted_and_distinct(self):
         move = EmptyMove([3, 1], skip_under_one=True)
