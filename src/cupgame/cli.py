@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .engine import ConfigError, GameConfig, run_game
@@ -30,7 +30,7 @@ from .experiments import (
 from .invariants import WINDOW, PreconditionError, run_checkers
 from .rational import exact_and_decimal, format_rat, parse_rat, to_decimal
 from .svg import backlog_svg
-from .traceio import config_dict, load_config_file, read_trace, write_trace
+from .traceio import config_dict, load_config_file, read_trace, write_json, write_trace
 
 MONTECARLO_EXPERIMENTS = ("crossing-prob", "anchor-swap-backlog", "anti-greedy-backlog")
 
@@ -66,18 +66,13 @@ def _window(text: str) -> int:
     return int(text)
 
 
-def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # run
 
 
 def _assemble_config(args) -> GameConfig:
-    fields = ("n", "p", "steps", "seed", "filler", "emptier", "truncation")
-    settings = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
+    flags = {field.name: getattr(args, field.name, None) for field in fields(GameConfig)}
+    settings = {key: value for key, value in flags.items() if value is not None}
     if args.config:
         return load_config_file(args.config, **settings)
     missing = [key for key in ("n", "p", "steps") if key not in settings]
@@ -125,7 +120,7 @@ def cmd_check(args) -> int:
         "reports": [report.to_jsonable() for report in reports],
     }
     out = Path(args.out) if args.out else trace_dir
-    _write_json(out / "report.json", payload)
+    write_json(out / "report.json", payload)
     return 0 if passed else 1
 
 
@@ -152,7 +147,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, out / "sweep.csv")
-    _write_json(
+    write_json(
         out / "report.json",
         {
             "rows": len(rows),
@@ -181,7 +176,7 @@ def cmd_lowerbound(args) -> int:
         f"({to_decimal(result.threshold)}) for n={args.n} p={args.p}"
     )
     if args.out:
-        _write_json(Path(args.out) / "report.json", result.to_jsonable())
+        write_json(Path(args.out) / "report.json", result.to_jsonable())
     if result.reached:
         print(f"reached after {result.steps_to_threshold} steps (budget {result.budget})")
         return 0
@@ -250,7 +245,7 @@ def cmd_montecarlo(args) -> int:
             f"seeds (best {to_decimal(stats['best_backlog'])})"
         )
     if args.out:
-        _write_json(Path(args.out) / "report.json", payload)
+        write_json(Path(args.out) / "report.json", payload)
     return 0
 
 

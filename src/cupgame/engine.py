@@ -226,14 +226,26 @@ class Violation:
     reasons: tuple[str, ...]
 
 
+def _new_highs(pairs) -> list:
+    """(i, value, den) for each pair i whose value / den exceeds every earlier
+    pair's, compared cross-multiplied; values are >= 0, so the first is one."""
+    highs = []
+    best, best_den = -1, 1
+    for i, (value, den) in enumerate(pairs):
+        if value * best_den > best * den:
+            best, best_den = value, den
+            highs.append((i, value, den))
+    return highs
+
+
 @dataclass(eq=False)  # identity semantics; keeps traces usable as cache keys
 class Trace:
     config: GameConfig
     initial: CupState
     records: list[StepRecord]
     violation: Violation | None = None
-    _masses: list = field(default=None, repr=False, compare=False)
-    _maxima: list = field(default=None, repr=False, compare=False)
+    _masses: list = field(default=None, init=False, repr=False)
+    _maxima: list = field(default=None, init=False, repr=False)
 
     @property
     def steps_executed(self) -> int:
@@ -250,11 +262,8 @@ class Trace:
         return self._maxima
 
     def max_backlog(self):
-        """Largest backlog of any post state, compared as ints across dens."""
-        top, den = 0, 1
-        for fill, fill_den in self.maxima():
-            if fill * den > top * fill_den:
-                top, den = fill, fill_den
+        """Largest backlog of any post state."""
+        _, top, den = _new_highs(self.maxima())[-1]
         return rat(top, den)
 
     def top_masses(self) -> list:
@@ -269,11 +278,12 @@ class Trace:
 
     def empirical_M(self):
         """Largest av_p seen anywhere in the trace."""
-        top, den = 0, 1
-        for mass, mass_den in self.top_masses():
-            if mass * den > top * mass_den:
-                top, den = mass, mass_den
-        return rat(top, den * self.config.p)
+        _, mass, den = _new_highs(self.top_masses())[-1]
+        return rat(mass, den * self.config.p)
+
+    def record_setting_steps(self) -> list[int]:
+        """Steps whose av_p strictly exceeds every earlier step's av_p."""
+        return [i + 1 for i, _, _ in _new_highs(self.top_masses()[1:])]
 
 
 def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[str]:

@@ -15,11 +15,12 @@ h^(i)(t-1) < s <= h^(i)(t-1) + f.  Unit removals decrease a positive integer
 fill by exactly one per drained cup, which is what makes T^(i) obey an exact
 conservation law under the skip-under-one emptier.
 
-The checkers read the cup states' ints (state.py): a fill is scaled/den, so
-floors are scaled // den and comparisons cross-multiply.  Deposit sums and
-offsets are put over one trace denominator D, the lcm of every state's den
-and every deposit's, and summed as the checkers walk: no checker tables the
-trace.  A rational is built only for a witness or a report parameter.
+The checkers read the cup states' ints (state.py) and Trace's run statistics,
+such as its record-setting steps: a fill is scaled/den, so floors are
+scaled // den and comparisons cross-multiply.  Deposit sums and offsets are
+over one trace denominator D, the lcm of every state's den and deposit's,
+summed as the checkers walk: no checker tables the trace.  A rational is
+built only for a witness or a report parameter.
 """
 
 from __future__ import annotations
@@ -197,18 +198,6 @@ def check_cup_reset(trace: Trace) -> InvariantReport:
     return InvariantReport("cup-reset", True, params)
 
 
-def record_setting_steps(trace: Trace) -> list[int]:
-    """Steps whose av_p strictly exceeds every earlier step's av_p."""
-    result = []
-    best = best_den = None
-    for t, (mass, den) in enumerate(trace.top_masses()[1:], start=1):
-        # av_p is mass / (den * p): compare the masses cross-multiplied
-        if best is None or mass * best_den > best * den:
-            result.append(t)
-            best, best_den = mass, den
-    return result
-
-
 def check_record_constraints(trace: Trace) -> InvariantReport:
     """Record-setting states are flat near the top.
 
@@ -221,7 +210,7 @@ def check_record_constraints(trace: Trace) -> InvariantReport:
     gap_bound = harmonic_number(p)
     params = {"n": n, "p": p, "gap_bound": gap_bound}
     states = trace.states()
-    for t in record_setting_steps(trace):
+    for t in trace.record_setting_steps():
         den = states[t].den
         top = states[t].top_scaled(p + 1)
         for i in range(1, p + 1):

@@ -1,4 +1,4 @@
-"""Trace serialization: exact CSV rows plus a JSON summary sidecar.
+"""The file formats: trace.csv, summary.json, report.json and INI run files.
 
 trace.csv carries one row per state in play order: the t=0 starting state,
 then for each step the intermediate (post-fill) and post (post-empty)
@@ -11,7 +11,7 @@ read back.
 Rows are coded as deltas from the row above.  The writer rebuilds each
 step's intermediate state from the record, reformats only the cups whose
 ints changed (every cup when den changed) and streams each line to the
-file.  The reader replays each row as it reads it, and parses and checks
+file.  The reader decodes and replays each line as csv reads it, checking
 only the cells whose text changed; any other cell is text-identical to the
 verified cell of the same cup one row up, so it keeps that int, rescaled to
 the new den.  An inter row's changed cells are the fill move; a post row is
@@ -20,11 +20,11 @@ changed, and every changed cell must equal the replayed post state.  A
 cup's lowest-terms text depends only on its value, so the delta changes no
 byte.
 
-summary.json records the config, run totals, and any abort, and is the
-authoritative source of the config when re-loading a trace directory, which
-loads only if summary.json is exactly what run writes for the replay.
-Output bytes are deterministic: fixed column order, sorted JSON keys, LF
-line endings, no timestamps.
+summary.json records every GameConfig field, the run statistics of Trace and
+any abort; it is the authoritative source of the config when re-loading a
+trace directory, which loads only if it is exactly what run writes for the
+replay.  write_json writes it and every report.json deterministically, as
+trace.csv is: fixed columns, sorted JSON keys, LF line endings, no times.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+from dataclasses import MISSING, asdict, fields
 from itertools import compress
 from math import gcd, lcm
 from operator import ne
@@ -48,7 +49,6 @@ from .engine import (
     build_filler,
     step,
 )
-from .invariants import record_setting_steps
 from .rational import exact_and_decimal, format_rat, parse_rat, rat, to_decimal
 
 TRACE_NAME = "trace.csv"
@@ -108,22 +108,21 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
             stats = _stat_cells(top, mass, post.den, p)
             write(f"{t},post,{selected},{skip},{','.join(cells)},{stats}\n")
     summary_path = directory / SUMMARY_NAME
-    blob = json.dumps(summarize(trace), sort_keys=True, indent=2) + "\n"
-    summary_path.write_text(blob, encoding="utf-8")
+    write_json(summary_path, summarize(trace))
     return trace_path, summary_path
 
 
+def write_json(path: Path, payload: dict):
+    """Write payload as JSON with sorted keys, indented, and a final newline."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def config_dict(config: GameConfig) -> dict:
+    """Every GameConfig field by name; a rational (truncation) as "num/den"."""
     return {
-        "n": config.n,
-        "p": config.p,
-        "steps": config.steps,
-        "seed": config.seed,
-        "filler": config.filler,
-        "emptier": config.emptier,
-        "truncation": None if config.truncation is None
-        else format_rat(config.truncation),
-        "visibility": config.visibility,
+        name: value if value is None or isinstance(value, (int, str)) else format_rat(value)
+        for name, value in asdict(config).items()
     }
 
 
@@ -135,7 +134,7 @@ def summarize(trace: Trace) -> dict:
         "max_backlog": exact_and_decimal(trace.max_backlog()),
         "final_backlog": exact_and_decimal(last.backlog()),
         "empirical_M": exact_and_decimal(trace.empirical_M()),
-        "record_setting_steps": record_setting_steps(trace),
+        "record_setting_steps": trace.record_setting_steps(),
         "violation": None,
     }
     if trace.violation is not None:
@@ -189,19 +188,11 @@ def _rows(reader, trace_path, expected: int):
             yield row
     except csv.Error as err:
         raise ValueError(f"{trace_path}: line {reader.line_num}: {err}") from None
-    except UnicodeDecodeError:
-        # the text layer decodes ahead in chunks, so reader.line_num may be
-        # short of the line that holds the byte: find it in the raw lines
-        with trace_path.open("rb") as handle:
-            for line, raw in enumerate(handle, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as err:
-                    raise ValueError(
-                        f"{trace_path}: line {line}: byte {err.start + 1} "
-                        f"(0x{raw[err.start]:02x}) is not UTF-8"
-                    ) from None
-        raise
+    except UnicodeDecodeError as err:  # in the line after the last one csv counted
+        raise ValueError(
+            f"{trace_path}: line {reader.line_num + 1}: byte {err.start + 1} "
+            f"(0x{err.object[err.start]:02x}) is not UTF-8"
+        ) from None
 
 
 def _check_no_selection(row, trace_path, line: int, t: int):
@@ -237,7 +228,7 @@ def read_trace(directory) -> Trace:
     move holds its deposits as ints over the intermediate row's.  No
     intermediate state is kept: each record starts from the previous post.
     """
-    from .emptiers import _EMPTIERS  # as run_game does: cli's start-up skips it
+    from .emptiers import make_emptier  # as run_game does: cli's start-up skips it
 
     directory = Path(directory)
     summary_path = directory / SUMMARY_NAME
@@ -245,19 +236,19 @@ def read_trace(directory) -> Trace:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         config = GameConfig(**summary["config"])
         build_filler(config)
-        # only the emptier's name is looked up, so a saved threshold-blind:L,C
-        # (the spec took L,C once) still loads
-        if config.emptier.partition(":")[0].strip() not in _EMPTIERS:
-            raise ConfigError(f"unknown emptier spec {config.emptier!r}")
+        try:  # the name only, so a saved threshold-blind:L,C (the spec took L,C once) loads
+            make_emptier(config.emptier.partition(":")[0])
+        except ConfigError:
+            raise ConfigError(f"unknown emptier spec {config.emptier!r}") from None
         raw = summary["violation"]
         violation = None if raw is None else Violation(**{**raw, "reasons": tuple(raw["reasons"])})
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{summary_path}: missing or malformed entry {err}") from None
     n = config.n
     trace_path = directory / TRACE_NAME
-    with trace_path.open(encoding="utf-8", newline="") as handle:
+    with trace_path.open("rb") as handle:
         expected = 4 + n + 2
-        rows = _rows(csv.reader(handle), trace_path, expected)
+        rows = _rows(csv.reader(map(bytes.decode, handle)), trace_path, expected)
         header = next(rows, None)
         if header is None:
             raise ValueError(f"{trace_path} is empty")
@@ -360,21 +351,30 @@ def read_trace(directory) -> Trace:
 # ---------------------------------------------------------------------------
 # config files
 
-_GAME_KEYS = {"n", "p", "steps", "seed", "truncate", "visibility"}
-_STRATEGY_KEYS = {"filler", "emptier"}
-
 
 def load_config_file(path, **overrides) -> GameConfig:
     """Parse an INI run description into a GameConfig.
 
-    [game] holds n, p, steps and optional seed, truncate, visibility;
-    [strategies] holds optional filler and emptier specs.  Unknown keys are
-    rejected so typos fail loudly.  Values are taken as written (no "%").
-    overrides (GameConfig fields, as run's flags give them) replace the
-    file's settings before the merged config is validated, so a flag may
-    supply a key the file leaves out.  Every error names the file.
+    Its keys are table's, by section; any other key or section, [DEFAULT]
+    included, is rejected.  Values are taken as written (no "%").  overrides
+    (GameConfig fields, as run's flags give them) replace the file's settings
+    before the merged config is validated, so a flag may supply a key the
+    file leaves out.  Every error names the file.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # section -> key -> (GameConfig field, parser); built per call, so parse_rat is looked up then
+    table = {
+        "game": {
+            "n": ("n", int),
+            "p": ("p", int),
+            "steps": ("steps", int),
+            "seed": ("seed", int),
+            "truncate": ("truncation", parse_rat),
+            "visibility": ("visibility", str),
+        },
+        "strategies": {"filler": ("filler", str), "emptier": ("emptier", str)},
+    }
+    # no file names the section "" ([] is no header): [DEFAULT] is an ordinary section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as err:
@@ -383,38 +383,26 @@ def load_config_file(path, **overrides) -> GameConfig:
         raise ConfigError(f"cannot read config file {path}")
     if "game" not in parser:
         raise ConfigError(f"{path}: missing [game] section")
-    game = parser["game"]
-    unknown = set(game) - _GAME_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown [game] keys {sorted(unknown)}")
-    kwargs = {}
-    try:
-        for key in ("n", "p", "steps", "seed"):
-            if key in game:
-                kwargs[key] = int(game[key])
-        if "truncate" in game:
-            kwargs["truncation"] = parse_rat(game["truncate"])
-        if "visibility" in game:
-            kwargs["visibility"] = game["visibility"]
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
-    if "strategies" in parser:
-        strategies = parser["strategies"]
-        unknown = set(strategies) - _STRATEGY_KEYS
+    settings = {}
+    for section, keys in table.items():
+        values = parser[section] if section in parser else {}
+        unknown = set(values) - set(keys)
         if unknown:
-            raise ConfigError(f"{path}: unknown [strategies] keys {sorted(unknown)}")
-        if "filler" in strategies:
-            kwargs["filler"] = strategies["filler"]
-        if "emptier" in strategies:
-            kwargs["emptier"] = strategies["emptier"]
-    stray = set(parser.sections()) - {"game", "strategies"}
+            raise ConfigError(f"{path}: unknown [{section}] keys {sorted(unknown)}")
+        try:
+            for key, (name, parse) in keys.items():
+                if key in values:
+                    settings[name] = parse(values[key])
+        except ValueError as err:
+            raise ConfigError(f"{path}: {err}") from None
+    stray = set(parser.sections()) - set(table)
     if stray:
         raise ConfigError(f"{path}: unknown sections {sorted(stray)}")
-    kwargs.update(overrides)
-    for key in ("n", "p", "steps"):
-        if key not in kwargs:
-            raise ConfigError(f"{path}: [game] needs {key}")
+    settings.update(overrides)
+    for field in fields(GameConfig):
+        if field.default is MISSING and field.name not in settings:
+            raise ConfigError(f"{path}: [game] needs {field.name}")
     try:
-        return GameConfig(**kwargs)
+        return GameConfig(**settings)
     except ConfigError as err:
         raise ConfigError(f"{path}: {err}") from None

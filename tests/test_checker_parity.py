@@ -27,7 +27,6 @@ from cupgame.invariants import (
     _tail_bounds,
     applicable_checkers,
     level_series,
-    record_setting_steps,
     run_checkers,
 )
 from cupgame.rational import ZERO, floor_rat, rat
@@ -94,7 +93,7 @@ def ref_record_gap(trace):
     gap_bound = harmonic_number(p)
     params = {"n": n, "p": p, "gap_bound": gap_bound}
     states = trace.states()
-    for t in record_setting_steps(trace):
+    for t in trace.record_setting_steps():
         top = ref_top_fills(states[t], p + 1)
         for i in range(1, p + 1):
             mass = sum(top[i:])

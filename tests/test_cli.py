@@ -138,8 +138,12 @@ def test_run_flags_override_the_config_file_before_it_is_validated(tmp_path, tex
         (b"[game]\nn = 4\np = 2\nsteps = 5\nvisibility = sideways\n",
          "unknown visibility 'sideways'\n"),
         (b"[game]\nn = 4\np = 2\nsteps = 5\n# \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        # configparser would merge [DEFAULT]'s keys into every section
+        (b"[DEFAULT]\nn = 4\n[game]\np = 1\nsteps = 5\n", "unknown sections ['DEFAULT']\n"),
+        (b"[DEFAULT]\nseed = 3\n[game]\nn = 4\np = 1\nsteps = 5\n[strategies]\nfiller = zero\n",
+         "unknown sections ['DEFAULT']\n"),
     ],
-    ids=["no-n", "bad-visibility", "not-utf-8"],
+    ids=["no-n", "bad-visibility", "not-utf-8", "default-n", "default-seed-with-strategies"],
 )
 def test_run_config_file_errors_name_the_file_once(tmp_path, capsys, text, message):
     ini = tmp_path / "run.ini"

@@ -25,7 +25,6 @@ from cupgame.invariants import (
     check_working_set,
     level_series,
     max_level,
-    record_setting_steps,
 )
 from cupgame.rational import rat, to_decimal
 from cupgame.traceio import summarize
@@ -207,7 +206,7 @@ WORKING_SET = [(name, trace) for name, trace in TRACES if trace.config.emptier =
 def test_run_statistics_match_the_fraction_series(name, trace):
     series = oracle_av_series(trace)
     assert trace.empirical_M() == max(series)
-    assert record_setting_steps(trace) == oracle_record_setting_steps(trace)
+    assert trace.record_setting_steps() == oracle_record_setting_steps(trace)
     assert [rat(mass, den * trace.config.p) for mass, den in trace.top_masses()] == series
     summary = summarize(trace)
     final = trace.states()[-1].backlog()

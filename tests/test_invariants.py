@@ -28,7 +28,6 @@ from cupgame.invariants import (
     check_working_set,
     level_series,
     max_level,
-    record_setting_steps,
     run_checkers,
 )
 from cupgame.experiments import crossing_probability_experiment
@@ -213,12 +212,12 @@ def test_record_setting_steps_match_direct_scan():
         for t in range(1, len(series))
         if all(series[t] > series[s] for s in range(1, t))
     ]
-    assert record_setting_steps(trace) == expected
+    assert trace.record_setting_steps() == expected
 
 
 def test_first_step_is_always_a_record():
     trace = play(3, 1, 4, filler=ScriptFiller([{1: rat(1)}] * 4))
-    assert record_setting_steps(trace)[0] == 1
+    assert trace.record_setting_steps()[0] == 1
 
 
 def test_record_gap_passes_on_real_game():

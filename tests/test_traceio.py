@@ -5,15 +5,18 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cupgame.cli import main
 from cupgame.emptiers import GreedyEmptier
 from cupgame.engine import ConfigError, EmptyMove, GameConfig, run_game
 from cupgame.rational import rat
 from cupgame.traceio import (
+    config_dict,
     load_config_file,
     read_trace,
     summarize,
@@ -119,26 +122,42 @@ def test_read_rejects_header_mismatch(tmp_path):
         read_trace(tmp_path)
 
 
+# every GameConfig field away from its default, so that a field which the INI
+# table, run's flags or config_dict leave out fails test_config_file_full
+EVERY_FIELD = GameConfig(
+    n=16, p=4, steps=20, seed=7, filler="anchor-swap", emptier="smoothed-greedy",
+    truncation=rat(7, 2), visibility="oblivious",
+)
+
+
 def test_config_file_full(tmp_path):
+    assert all(
+        getattr(EVERY_FIELD, field.name) != field.default
+        for field in fields(GameConfig) if field.default is not MISSING
+    )
     path = tmp_path / "run.ini"
     path.write_text(
         "[game]\n"
         "n = 16\n"
         "p = 4\n"
-        "steps = 200\n"
-        "seed = 9\n"
+        "steps = 20\n"
+        "seed = 7\n"
         "truncate = 7/2\n"
         "visibility = oblivious\n"
         "[strategies]\n"
-        "filler = growth\n"
+        "filler = anchor-swap\n"
         "emptier = smoothed-greedy\n"
     )
-    config = load_config_file(path)
-    assert (config.n, config.p, config.steps, config.seed) == (16, 4, 200, 9)
-    assert config.truncation == rat(7, 2)
-    assert config.visibility == "oblivious"
-    assert config.filler == "growth"
-    assert config.emptier == "smoothed-greedy"
+    assert load_config_file(path) == EVERY_FIELD
+    # run's flags, with the file for visibility, which has no flag
+    path.write_text("[game]\nvisibility = oblivious\n")
+    out = tmp_path / "out"
+    flags = ["--n", "16", "--p", "4", "--steps", "20", "--seed", "7", "--filler", "anchor-swap",
+             "--emptier", "smoothed-greedy", "--truncate", "7/2"]
+    assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 0
+    assert GameConfig(**json.loads((out / "summary.json").read_text())["config"]) == EVERY_FIELD
+    assert list(config_dict(EVERY_FIELD)) == [field.name for field in fields(GameConfig)]
+    assert GameConfig(**config_dict(EVERY_FIELD)) == EVERY_FIELD
 
 
 def test_config_file_minimal_defaults(tmp_path):
@@ -158,6 +177,7 @@ def test_config_file_minimal_defaults(tmp_path):
         "[game]\nn = 4\np = 1\nsteps = 10\nbogus = 1\n",
         "[game]\nn = 4\np = 1\nsteps = 10\n[strategies]\nemptier = greedy\nx = 1\n",
         "[game]\nn = 4\np = 1\nsteps = 10\n[extra]\na = 1\n",
+        "[DEFAULT]\n[game]\nn = 4\np = 1\nsteps = 10\n",  # an empty [DEFAULT] too
         "[game]\nn = four\np = 1\nsteps = 10\n",
         "[game]\nn = 4\np = 1\nsteps = 10\ntruncate = 1.5\n",
         "[strategies]\nfiller = zero\n",
