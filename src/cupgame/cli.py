@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .engine import ConfigError, GameConfig, run_game
+from .engine import ADAPTIVE, OBLIVIOUS, ConfigError, GameConfig, run_game
 from .experiments import (
     backlog_frequency_experiment,
     crossing_probability_experiment,
@@ -270,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--filler", help="filler spec, e.g. growth or random:1/2")
     run.add_argument("--emptier", help="emptier spec, e.g. greedy or smoothed-greedy")
     run.add_argument("--truncate", dest="truncation", help="fill cap, e.g. 3 or 7/2")
+    run.add_argument("--visibility", choices=(ADAPTIVE, OBLIVIOUS),
+                     help="what the filler sees (default: adaptive)")
     run.add_argument("--out", default="out", help="output directory (default: out)")
     run.add_argument("--svg", action="store_true", help="also write backlog.svg")
     run.set_defaults(func=cmd_run)

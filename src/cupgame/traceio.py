@@ -8,17 +8,18 @@ selected cups with the skip flag replay the removals.  backlog and av_p are
 15-significant-digit decimal conveniences for spreadsheets; they are never
 read back.
 
-Rows are coded as deltas from the row above.  The writer rebuilds each
-step's intermediate state from the record, reformats only the cups whose
-ints changed (every cup when den changed) and streams each line to the
-file.  The reader decodes and replays each line as csv reads it, checking
-only the cells whose text changed; any other cell is text-identical to the
-verified cell of the same cup one row up, so it keeps that int, rescaled to
-the new den.  An inter row's changed cells are the fill move; a post row is
-checked from its changed cells alone: every drained cup's cell must have
-changed, and every changed cell must equal the replayed post state.  A
-cup's lowest-terms text depends only on its value, so the delta changes no
-byte.
+Rows are comma-joined, unquoted lines coded as deltas from the row above.
+The writer rebuilds each step's intermediate state from the record,
+reformats only the moved cups (the filled ones, then those whose ints
+changed; every cup when den changed) and streams each line to the file.
+The reader splits each line on commas (after LF or CRLF; a quote or other
+CR fails) and replays it, parsing only the cells whose text changed; any
+other cell is text-identical to the verified cell of the same cup one row
+up, so it keeps that int, rescaled to the new den.  An inter row's changed
+cells are the fill move; a post row is checked from its changed cells
+alone: every drained cup's cell must have changed, and every changed cell
+must equal the replayed post state.  A cup's lowest-terms text depends
+only on its value, so the delta changes no byte.
 
 summary.json records every GameConfig field, the run statistics of Trace and
 any abort; it is the authoritative source of the config when re-loading a
@@ -30,7 +31,6 @@ trace.csv is: fixed columns, sorted JSON keys, LF line endings, no times.
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 from dataclasses import MISSING, asdict, fields
 from itertools import compress
@@ -46,6 +46,7 @@ from .engine import (
     GameConfig,
     Trace,
     Violation,
+    apply_fill,
     build_filler,
     step,
 )
@@ -55,27 +56,14 @@ TRACE_NAME = "trace.csv"
 SUMMARY_NAME = "summary.json"
 
 
-def _update_cells(cells: list, before, state: CupState):
-    """Reformat the cup cells of state that may differ from before's.
-
-    cells holds before's lowest-terms text.  A cup whose int is unchanged
-    over the same den keeps its text; after a den change (or with no before)
-    every cup is reformatted, one gcd each.
-    """
+def _format_cells(cells: list, state: CupState, cups):
+    """Write the lowest-terms text of state's given cups (ids from 1) into
+    cells, one gcd each."""
     den, scaled = state.den, state.scaled
-    if before is not None and before.den == den:
-        cups = compress(range(len(scaled)), map(ne, scaled, before.scaled))
-    else:
-        cups = range(len(scaled))
     for cup in cups:
-        common = gcd(scaled[cup], den)
-        cells[cup] = f"{scaled[cup] // common}/{den // common}"
-
-
-def _stat_cells(top: int, mass: int, den: int, p: int) -> str:
-    """The backlog and av_p cells of a state over den: its largest int is
-    top, and its p largest sum to mass."""
-    return f"{to_decimal(top, den)},{to_decimal(mass, den * p)}"
+        value = scaled[cup - 1]
+        common = gcd(value, den)
+        cells[cup - 1] = f"{value // common}/{den // common}"
 
 
 def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
@@ -86,27 +74,32 @@ def write_trace(trace: Trace, directory) -> tuple[Path, Path]:
     trace_path = directory / TRACE_NAME
     with trace_path.open("w", encoding="utf-8", newline="") as handle:
         write = handle.write
-        header = ["t", "stage", "selected", "skip"]
-        header.extend(f"cup_{cup}" for cup in range(1, n + 1))
-        header.extend(["backlog", "av_p"])
-        write(",".join(header) + "\n")
+        cups = ",".join(f"cup_{cup}" for cup in range(1, n + 1))
+        write(f"t,stage,selected,skip,{cups},backlog,av_p\n")
         # the post rows' backlog and av_p, as summarize and backlog_svg read them
         tops, masses = trace.maxima(), trace.top_masses()
-        cells = [""] * n
-        _update_cells(cells, None, trace.initial)
-        stats = _stat_cells(tops[0][0], masses[0][0], trace.initial.den, p)
-        write(f"0,post,,,{','.join(cells)},{stats}\n")
+        every, cells, initial = range(1, n + 1), [""] * n, trace.initial
+        _format_cells(cells, initial, every)
+        den = initial.den
+        write(f"0,post,,,{','.join(cells)},{to_decimal(tops[0][0], den)},"
+              f"{to_decimal(masses[0][0], den * p)}\n")
         for record, (top, _), (mass, _) in zip(trace.records, tops[1:], masses[1:]):
-            t, inter, post = record.t, record.intermediate, record.post
-            _update_cells(cells, record.prev, inter)
+            t, prev, post = record.t, record.prev, record.post
+            inter = apply_fill(prev, record.fill)
+            den = inter.den
+            # prev plus the fill: only the filled cups' ints can change
+            _format_cells(cells, inter, record.fill.cups if den == prev.den else every)
             ranked = inter.top_scaled(p)
-            stats = _stat_cells(ranked[0], sum(ranked), inter.den, p)
-            write(f"{t},inter,,,{','.join(cells)},{stats}\n")
-            _update_cells(cells, inter, post)
-            selected = " ".join(str(cup) for cup in record.empty.cups)
+            write(f"{t},inter,,,{','.join(cells)},{to_decimal(ranked[0], den)},"
+                  f"{to_decimal(sum(ranked), den * p)}\n")
+            # the cups whose ints changed: a forged record's post need not be its replay
+            changed = compress(every, map(ne, post.scaled, inter.scaled))
+            _format_cells(cells, post, changed if post.den == den else every)
+            den = post.den
+            selected = " ".join(map(str, record.empty.cups))
             skip = "1" if record.empty.skip_under_one else "0"
-            stats = _stat_cells(top, mass, post.den, p)
-            write(f"{t},post,{selected},{skip},{','.join(cells)},{stats}\n")
+            write(f"{t},post,{selected},{skip},{','.join(cells)},{to_decimal(top, den)},"
+                  f"{to_decimal(mass, den * p)}\n")
     summary_path = directory / SUMMARY_NAME
     write_json(summary_path, summarize(trace))
     return trace_path, summary_path
@@ -146,62 +139,72 @@ def summarize(trace: Trace) -> dict:
     return summary
 
 
-def _changed_cells(cells, before, den: int):
-    """A row's changed cups as ([(cup index, int)], den), given the previous row.
-
-    before is the previous row's cell text and den its denominator.  Only the
-    cups whose text differs from before are parsed and checked; every other
-    cup is text already verified.  The returned den is the least multiple of
-    den that every changed cell's denominator divides, and each int is the
-    cup's fill over it.
+def _read_cells(cells, before, den: int):
+    """The cups (ids from 1) whose text differs from before's, the previous
+    row's over den, parsed once each: (cups, their ints, the least multiple
+    of den their denominators divide).  Any other cell is text already
+    verified.  The first malformed cell fails before the first negative one.
     """
-    changed = list(compress(range(len(cells)), map(ne, cells, before)))
-    pairs = []
-    for cup in changed:
-        cell = cells[cup]
+    cups = tuple(compress(range(1, len(cells) + 1), map(ne, cells, before)))
+    pairs, negative = [], None
+    for cup in cups:
+        cell = cells[cup - 1]
         num, slash, bottom = cell.partition("/")
         try:
             num, bottom = int(num), int(bottom) if slash else 1
         except ValueError:
             bottom = 0
-        if not bottom:
-            raise ValueError(f"malformed rational: {cell!r}")
-        if bottom < 0:
+        if bottom <= 0:
+            if not bottom:
+                raise ValueError(f"malformed rational: {cell!r}")
             num, bottom = -num, -bottom
-        pairs.append((num, bottom))
-    for cup, (num, bottom) in zip(changed, pairs):
-        if num < 0:
-            raise ValueError(f"cup {cup + 1} has negative fill {rat(num, bottom)}")
+        if num < 0 and negative is None:
+            negative = f"cup {cup} has negative fill {rat(num, bottom)}"
         if den % bottom:
             den = lcm(den, bottom)
-    return [(cup, num * (den // bottom)) for cup, (num, bottom) in zip(changed, pairs)], den
+        pairs.append((num, bottom))
+    if negative is not None:
+        raise ValueError(negative)
+    return cups, [num * (den // bottom) for num, bottom in pairs], den
 
 
-def _rows(reader, trace_path, expected: int):
-    """The rows in file order, header first, each data row checked for its cell
-    count when read; a line csv cannot parse (a cell over its size limit) or
-    decode (a byte that is not UTF-8) too."""
-    try:
-        for line, row in enumerate(reader, start=1):
-            if len(row) != expected and line > 1:
-                raise ValueError(f"{trace_path}: line {line}: {len(row)} cells, not {expected}")
-            yield row
-    except csv.Error as err:
-        raise ValueError(f"{trace_path}: line {reader.line_num}: {err}") from None
-    except UnicodeDecodeError as err:  # in the line after the last one csv counted
-        raise ValueError(
-            f"{trace_path}: line {reader.line_num + 1}: byte {err.start + 1} "
-            f"(0x{err.object[err.start]:02x}) is not UTF-8"
-        ) from None
+FIELD_LIMIT = 131_072  # csv's default field size limit: a longer cell keeps csv's message
 
 
-def _check_no_selection(row, trace_path, line: int, t: int):
+def _rows(handle, trace_path, expected: int):
+    """The rows of a binary trace.csv in file order, header first.
+
+    Each line is decoded and split on commas, as the writer joins it; a
+    final LF or CRLF ends it.  A byte that is not UTF-8, a quote or a
+    carriage return within the line (the writer writes neither), a cell
+    over FIELD_LIMIT characters and a data row whose cell count is not
+    expected each fail naming the line.
+    """
+    for line, data in enumerate(handle, start=1):
+        try:
+            text = data.decode().removesuffix("\n").removesuffix("\r")
+        except UnicodeDecodeError as err:
+            fault = f"byte {err.start + 1} (0x{data[err.start]:02x}) is not UTF-8"
+        else:
+            row = text.split(",") if text else []
+            if '"' in text or "\r" in text:
+                fault = "a quote or a carriage return within the line; trace.csv is not quoted"
+            elif len(text) > FIELD_LIMIT and max(map(len, row)) > FIELD_LIMIT:
+                fault = f"field larger than field limit ({FIELD_LIMIT})"
+            elif len(row) != expected and line > 1:
+                fault = f"{len(row)} cells, not {expected}"
+            else:
+                yield row
+                continue
+        raise ValueError(f"{trace_path}: line {line}: {fault}")
+
+
+def _selection_error(row, trace_path, line: int, t: int) -> ValueError:
     """The t=0 and inter rows carry no emptier move: both cells are empty."""
-    if row[2] or row[3]:
-        raise ValueError(
-            f"{trace_path}: line {line}: step {t}: {row[1]} row's selected and skip "
-            f"cells must be empty, not {row[2]!r} and {row[3]!r}"
-        )
+    return ValueError(
+        f"{trace_path}: line {line}: step {t}: {row[1]} row's selected and skip "
+        f"cells must be empty, not {row[2]!r} and {row[3]!r}"
+    )
 
 
 def read_trace(directory) -> Trace:
@@ -220,8 +223,9 @@ def read_trace(directory) -> Trace:
     with text reasons at the step after the last one, and a full run no
     violation.
 
-    Each (inter, post) pair of rows is replayed as it is read; only a
-    misnumbered or surplus step reads on, counting rows to name the fault.
+    Each (inter, post) pair of rows is replayed as it is read, its changed
+    cells parsed once; only a misnumbered or surplus step reads on, counting
+    rows to name the fault.  A line _rows refuses fails naming its line.
 
     Rows are read as ints over one denominator, carried forward as an lcm as
     the engine's is, so a cup that drains never shrinks it; each replayed
@@ -248,7 +252,7 @@ def read_trace(directory) -> Trace:
     trace_path = directory / TRACE_NAME
     with trace_path.open("rb") as handle:
         expected = 4 + n + 2
-        rows = _rows(csv.reader(map(bytes.decode, handle)), trace_path, expected)
+        rows = _rows(handle, trace_path, expected)
         header = next(rows, None)
         if header is None:
             raise ValueError(f"{trace_path} is empty")
@@ -257,66 +261,71 @@ def read_trace(directory) -> Trace:
         first = next(rows, None)
         if first is None or first[:2] != ["0", "post"]:
             raise ValueError(f"{trace_path}: trace must start with the t=0 post row")
-        _check_no_selection(first, trace_path, 2, 0)
+        if first[2] or first[3]:
+            raise _selection_error(first, trace_path, 2, 0)
         cells = first[4 : 4 + n]
         try:  # against no text, every cell is parsed
-            changed, den = _changed_cells(cells, [None] * n, 1)
+            _, scaled, den = _read_cells(cells, [None] * n, 1)
         except ValueError as err:
             raise ValueError(f"{trace_path}: line 2: {err}") from None
-        initial = previous = CupState._wrap(tuple(value for _, value in changed), den)
-        records = []
+        initial = previous = CupState._wrap(tuple(scaled), den)
+        records, steps, where = [], config.steps, None
         for t, inter_row in enumerate(rows, start=1):
             post_row = next(rows, None)
-            head = None if post_row is None else inter_row[:2] + post_row[:2]
-            if t > config.steps or head != [str(t), "inter", str(t), "post"]:
+            stamp = str(t)
+            if (t > steps or post_row is None or inter_row[0] != stamp or inter_row[1] != "inter"
+                    or post_row[0] != stamp or post_row[1] != "post"):
                 # a fault of the whole file comes first: count the step rows
                 held = 2 * t - (post_row is None) + sum(1 for _ in rows)
                 if held % 2:
                     raise ValueError(f"{trace_path}: dangling intermediate row at end of trace")
-                if held // 2 > config.steps:
+                if held // 2 > steps:
                     raise ValueError(
-                        f"{summary_path}: steps is {config.steps}, but {trace_path} holds "
+                        f"{summary_path}: steps is {steps}, but {trace_path} holds "
                         f"{held // 2} steps"
                     )
                 raise ValueError(f"{trace_path}: line {2 * t + 1}: malformed step {t} rows")
-            _check_no_selection(inter_row, trace_path, 2 * t + 1, t)
-            where = f"step {t}"
+            if inter_row[2] or inter_row[3]:
+                raise _selection_error(inter_row, trace_path, 2 * t + 1, t)
             try:
                 inter_cells = inter_row[4 : 4 + n]
-                changed, den = _changed_cells(inter_cells, cells, previous.den)
+                cups, values, den = _read_cells(inter_cells, cells, previous.den)
                 # a cup whose text did not change got no deposit; step builds
                 # the intermediate state from previous and these deposits
                 scale, before = den // previous.den, previous.scaled
-                deposits = [(cup + 1, value - before[cup] * scale) for cup, value in changed]
-                cups, amounts = tuple(zip(*[pair for pair in deposits if pair[1]])) or ((), ())
-                fill = FillMove._wrap(cups, amounts, den)
+                deposits = [value - before[cup - 1] * scale for cup, value in zip(cups, values)]
+                if 0 in deposits:  # a cell rewritten as other text of the same value
+                    kept = [pair for pair in zip(cups, deposits) if pair[1]]
+                    cups, deposits = tuple(zip(*kept)) or ((), ())
+                fill = FillMove._wrap(cups, tuple(deposits), den)
                 try:
-                    selected = tuple(int(cup) for cup in post_row[2].split())
+                    selected = tuple(map(int, post_row[2].split()))
                 except ValueError:
                     where = f"{trace_path}: line {2 * t + 2}: step {t}"
                     raise ValueError(f"malformed selection {post_row[2]!r}") from None
-                if post_row[3] not in ("0", "1"):
+                skip = post_row[3]
+                if skip != "0" and skip != "1":
                     where = f"{trace_path}: line {2 * t + 2}: step {t}"
-                    raise ValueError(f"malformed skip flag {post_row[3]!r}")
-                empty = EmptyMove(selected, skip_under_one=post_row[3] == "1")
+                    raise ValueError(f"malformed skip flag {skip!r}")
+                empty = EmptyMove(selected, skip_under_one=skip == "1")
                 record = step(config, t, previous, fill, lambda state, p: empty)
                 if type(record) is Violation:
                     raise ValueError(f"illegal {record.source} move: {'; '.join(record.reasons)}")
                 # the post row against the inter row: a drained cup's cell must
                 # change, and a changed cell must hold the replayed fill
                 cells, post = post_row[4 : 4 + n], record.post
-                changed, den = _changed_cells(cells, inter_cells, post.den)
+                cups, values, den = _read_cells(cells, inter_cells, post.den)
                 if den != post.den:  # the row's text needs a larger denominator
                     post = record.post = CupState._wrap(
                         tuple(x * (den // post.den) for x in post.scaled), den
                     )
-                scaled = post.scaled
-                if any(cells[cup - 1] == inter_cells[cup - 1] for cup in record.drained) or any(
-                    scaled[cup] != value for cup, value in changed
-                ):
+                scaled, drained = post.scaled, record.drained
+                if (cups != drained and not set(drained).issubset(cups)) or [
+                    scaled[cup - 1] for cup in cups
+                ] != values:
                     raise ValueError("post row is not the replay of the selection")
             except ValueError as err:
-                raise ValueError(f"{where}: {err}") from None
+                raise ValueError(f"{where or f'step {t}'}: {err}") from None
             records.append(record)
             previous = post
     trace = Trace(config=config, initial=initial, records=records, violation=violation)

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import cupgame
 from cupgame.cli import build_parser, main
 from cupgame.emptiers import ThresholdBlindEmptier
 from cupgame.engine import GameConfig, run_game
@@ -97,6 +92,29 @@ def test_run_oblivious_conflict_exits_2(tmp_path):
     assert run_cli("run", "--config", ini, "--out", tmp_path / "out") == 2
 
 
+def test_run_visibility_flag_refuses_a_filler_that_needs_adaptive(tmp_path, capsys):
+    # a truncation cap makes random:1/2 read the state
+    code = run_cli("run", "--n", 4, "--p", 1, "--steps", 5, "--filler", "random:1/2",
+                   "--truncate", 3, "--visibility", "oblivious", "--out", tmp_path / "out")
+    assert code == 2
+    assert "filler 'random:1/2' needs adaptive visibility" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_visibility_flag_plays_an_oblivious_filler_the_same(tmp_path):
+    # C8's anchor-swap game: the filler never reads its view
+    game = ("--n", 16, "--p", 8, "--steps", 300, "--seed", 0,
+            "--filler", "anchor-swap:8,64,2", "--emptier", "smoothed-greedy")
+    for visibility in ("adaptive", "oblivious"):
+        assert run_cli("run", *game, "--visibility", visibility,
+                       "--out", tmp_path / visibility) == 0
+    adaptive, oblivious = (tmp_path / name for name in ("adaptive", "oblivious"))
+    assert (adaptive / "trace.csv").read_bytes() == (oblivious / "trace.csv").read_bytes()
+    summaries = [json.loads((out / "summary.json").read_text()) for out in (adaptive, oblivious)]
+    assert [summary["config"].pop("visibility") for summary in summaries] == ["adaptive",
+                                                                              "oblivious"]
+    assert summaries[0] == summaries[1]
+    assert run_cli("check", oblivious) == 0
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -684,19 +702,3 @@ def test_missing_subcommand_exits_2():
         main([])
     assert info.value.code == 2
 
-
-def test_python_dash_m_cupgame_runs_the_cli(tmp_path):
-    # the package's own source root, so the test needs no installed cupgame
-    paths = [str(Path(cupgame.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    argv = [sys.executable, "-m", "cupgame", "run", "--n", "4", "--p", "1", "--steps", "5",
-            "--filler", "harmonic", "--out", str(tmp_path / "game")]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("ran 5/5 steps")
-    check = subprocess.run(
-        [sys.executable, "-m", "cupgame", "check", str(tmp_path / "game")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert check.returncode == 0, check.stderr
-    assert "cup-reset: PASS" in check.stdout

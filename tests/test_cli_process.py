@@ -1,10 +1,12 @@
 """The CLI as a separate process: exit codes and stderr as a shell sees them.
 
 `python -m cupgame` runs a C3 fuzz game, a p = 1 greedy game (top_cups(1)),
-C8's two oblivious games and a config file whose n comes from a flag; each
-runs and checks clean (0).  A threshold-blind game runs (0), and its check,
-which no checker covers, exits 2.  That check, malformed config files and a
-trace.csv with a byte that is not UTF-8 exit 2 with a message and no
+a 5-step p = 1 harmonic game, C8's two oblivious games and a config file
+whose n comes from a flag; each runs and checks clean (0), reporting its
+steps and PASSes.  A threshold-blind game runs (0), and its check, which no
+checker covers, exits 2.  That check, malformed config files and a
+trace.csv with a byte that is not UTF-8, a quoted cell or a carriage return
+within a line exit 2 with a message naming the file and line and no
 traceback.  The games' bytes are pinned in tests/test_artifact_digests.py.
 """
 
@@ -34,6 +36,7 @@ GAMES = {
              "--emptier", "smoothed-greedy", "--svg"],
     "greedy-p1": ["--n", 16, "--p", 1, "--steps", 500, "--filler", "random:1/2",
                   "--emptier", "greedy", "--svg"],
+    "harmonic-p1": ["--n", 4, "--p", 1, "--steps", 5, "--filler", "harmonic"],
     "anchor-swap": ["--n", 16, "--p", 8, "--steps", 300, "--seed", 0,
                     "--filler", "anchor-swap:8,64,2", "--emptier", "smoothed-greedy"],
     "anti-greedy": ["--n", 32, "--p", 8, "--steps", 300, "--seed", 0,
@@ -41,21 +44,27 @@ GAMES = {
 }
 
 
-def cupgame_process(*argv, code: int) -> str:
-    """Run `python -m cupgame argv`, require exit code and no traceback; its stderr."""
+def cupgame_process(*argv, code: int) -> subprocess.CompletedProcess:
+    """Run `python -m cupgame argv`, require exit code and no traceback."""
     done = subprocess.run(
         [sys.executable, "-m", "cupgame", *map(str, argv)],
         env=ENV, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
-    return done.stderr
+    return done
+
+
+def run_game_process(name: str, out):
+    done = cupgame_process("run", *GAMES[name], "--out", out, code=0)
+    steps = GAMES[name][GAMES[name].index("--steps") + 1]
+    assert done.stdout.startswith(f"ran {steps}/{steps} steps")
 
 
 @pytest.fixture(scope="module")
 def fuzz_game(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "game"
-    cupgame_process("run", *GAMES["fuzz"], "--out", out, code=0)
+    run_game_process("fuzz", out)
     return out
 
 
@@ -64,15 +73,16 @@ def test_game_runs_and_checks_clean(tmp_path, fuzz_game, name):
     out = fuzz_game
     if name != "fuzz":
         out = tmp_path / name
-        cupgame_process("run", *GAMES[name], "--out", out, code=0)
-    cupgame_process("check", out, code=0)
+        run_game_process(name, out)
+    report = cupgame_process("check", out, code=0).stdout
+    assert ": PASS" in report and "FAIL" not in report
 
 
 def test_threshold_blind_game_runs_but_no_checker_covers_it(tmp_path):
     out = tmp_path / "blind"
     cupgame_process("run", "--n", 16, "--p", 4, "--steps", 200, "--seed", 0,
                     "--filler", "random:1/2", "--emptier", "threshold-blind", "--out", out, code=0)
-    assert "threshold-blind" in cupgame_process("check", out, code=2)
+    assert "threshold-blind" in cupgame_process("check", out, code=2).stderr
 
 
 @pytest.mark.parametrize(
@@ -86,7 +96,8 @@ def test_threshold_blind_game_runs_but_no_checker_covers_it(tmp_path):
 def test_malformed_config_file_exits_2(tmp_path, text):
     ini = tmp_path / "run.ini"
     ini.write_text(text)
-    assert str(ini) in cupgame_process("run", "--config", ini, "--out", tmp_path / "out", code=2)
+    done = cupgame_process("run", "--config", ini, "--out", tmp_path / "out", code=2)
+    assert str(ini) in done.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -108,7 +119,26 @@ def test_byte_that_is_not_utf_8_is_located(tmp_path, fuzz_game):
     path.write_bytes(data)
     line = data.count(b"\n", 0, at) + 1
     column = at - data.rfind(b"\n", 0, at)
-    assert cupgame_process("check", out, code=2) == (
+    assert cupgame_process("check", out, code=2).stderr == (
         f"error: {path}: line {line}: byte {column} (0xff) is not UTF-8\n"
+    )
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "at, edit", [(4, '"{}"'), (5, "{}\r")], ids=["quoted-cup-cell", "carriage-return-mid-line"]
+)
+def test_quote_or_carriage_return_within_a_line_is_located(tmp_path, fuzz_game, at, edit):
+    out = tmp_path / "quoted"
+    shutil.copytree(fuzz_game, out, ignore=shutil.ignore_patterns("report.json"))
+    path = out / "trace.csv"
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[6].decode().split(",")  # step 3's inter row, file line 7
+    cells[at] = edit.format(cells[at])
+    lines[6] = ",".join(cells).encode()
+    path.write_bytes(b"\n".join(lines))
+    assert cupgame_process("check", out, code=2).stderr == (
+        f"error: {path}: line 7: a quote or a carriage return within the line; "
+        "trace.csv is not quoted\n"
     )
     assert not (out / "report.json").exists()

@@ -108,10 +108,10 @@ def delta_rows(rows):
     parsed, before = [], [None] * n
     scaled, den = [0] * n, 1
     for cells in rows:
-        changed, new_den = traceio._changed_cells(cells, before, den)
+        cups, values, new_den = traceio._read_cells(cells, before, den)
         scaled = [x * (new_den // den) for x in scaled]
-        for cup, value in changed:
-            scaled[cup] = value
+        for cup, value in zip(cups, values):
+            scaled[cup - 1] = value
         den = new_den
         parsed.append((tuple(scaled), den))
         before = cells
@@ -179,13 +179,13 @@ def assert_codecs_agree(trace, tmp_path, monkeypatch, *, replayable=True):
     assert delta_rows(rows) == oracle_rows(rows)
     if not replayable:
         return rows
-    changed_cells = traceio._changed_cells
+    read_cells = traceio._read_cells
 
     def counting(cells, before, den):
-        return changed_cells([Cell(cell) for cell in cells], before, den)
+        return read_cells([Cell(cell) for cell in cells], before, den)
 
     Cell.parsed = 0
-    monkeypatch.setattr(traceio, "_changed_cells", counting)
+    monkeypatch.setattr(traceio, "_read_cells", counting)
     back = read_trace(tmp_path)
     monkeypatch.undo()
     assert Cell.parsed == expected_parses(rows)

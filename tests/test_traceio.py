@@ -149,12 +149,11 @@ def test_config_file_full(tmp_path):
         "emptier = smoothed-greedy\n"
     )
     assert load_config_file(path) == EVERY_FIELD
-    # run's flags, with the file for visibility, which has no flag
-    path.write_text("[game]\nvisibility = oblivious\n")
+    # run's flags alone
     out = tmp_path / "out"
     flags = ["--n", "16", "--p", "4", "--steps", "20", "--seed", "7", "--filler", "anchor-swap",
-             "--emptier", "smoothed-greedy", "--truncate", "7/2"]
-    assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 0
+             "--emptier", "smoothed-greedy", "--truncate", "7/2", "--visibility", "oblivious"]
+    assert main(["run", *flags, "--out", str(out)]) == 0
     assert GameConfig(**json.loads((out / "summary.json").read_text())["config"]) == EVERY_FIELD
     assert list(config_dict(EVERY_FIELD)) == [field.name for field in fields(GameConfig)]
     assert GameConfig(**config_dict(EVERY_FIELD)) == EVERY_FIELD
@@ -329,6 +328,78 @@ def test_read_names_a_malformed_selection(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"trace\.csv: line 4: step 1: malformed selection 'x'$"):
         read_trace(tmp_path)
+
+
+def _edit_cells(tmp_path, line: int, edits: dict):
+    """Write sample_trace() with {cup: text} edits of one file line; "{}" in a
+    text stands for the cell it replaces."""
+    write_trace(sample_trace(), tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    for cup, text in edits.items():
+        row[3 + cup] = text.format(row[3 + cup])
+    lines[line - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "line, edit",
+    [(5, '"{}"'), (6, "{}\r"), (2, "\r{}")],
+    ids=["quoted-inter-cell", "cr-mid-post-row", "cr-in-t0-row"],
+)
+def test_read_rejects_a_quote_or_a_carriage_return_within_a_line(tmp_path, line, edit):
+    # a csv reader would take either as quoting or a line break; the writer writes neither
+    _edit_cells(tmp_path, line, {2: edit})
+    with pytest.raises(
+        ValueError,
+        match=rf"trace\.csv: line {line}: a quote or a carriage return within the line; "
+        "trace.csv is not quoted$",
+    ):
+        read_trace(tmp_path)
+
+
+def test_read_loads_a_crlf_copy_to_the_same_records(tmp_path):
+    trace = sample_trace()
+    write_trace(trace, tmp_path)
+    path = tmp_path / "trace.csv"
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    back = read_trace(tmp_path)
+    assert back.initial == trace.initial and back.records == trace.records
+    path.write_bytes(data.rstrip(b"\n"))  # no line end after the last row
+    assert read_trace(tmp_path).records == trace.records
+
+
+@pytest.mark.parametrize("line", [4, 5, 6], ids=["step-1-post", "step-2-inter", "step-2-post"])
+def test_read_names_a_malformed_cell_after_a_negative_one(tmp_path, line):
+    # cup order decides within a kind, but a malformed cell fails before a negative one
+    _edit_cells(tmp_path, line, {1: "-1/2", 2: "-3/4", 4: "1/x", 5: "y"})
+    with pytest.raises(ValueError, match=rf"^step {(line - 1) // 2}: malformed rational: '1/x'$"):
+        read_trace(tmp_path)
+    _edit_cells(tmp_path, line, {1: "-1/2", 2: "-3/4"})
+    with pytest.raises(ValueError, match=rf"^step {(line - 1) // 2}: cup 1 has negative fill -1/2$"):
+        read_trace(tmp_path)
+
+
+def test_read_checks_a_selection_that_is_not_the_writers_text(tmp_path):
+    trace = sample_trace()
+    write_trace(trace, tmp_path)
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    at = next(at for at in range(3, len(lines), 2) if len(lines[at].split(",")[2].split()) == 2)
+    row = lines[at].split(",")
+    first, second = row[2].split()
+    for selected, error in [(f"{second} {first}", None),
+                            (f"{first} {first}", r"duplicate cup ids in empty move")]:
+        row[2] = selected
+        lines[at] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        if error is None:  # unsorted ids are the same selection
+            assert read_trace(tmp_path).records == trace.records
+        else:
+            with pytest.raises(ValueError, match=rf"^step {row[0]}: {error}"):
+                read_trace(tmp_path)
 
 
 @pytest.mark.parametrize("stage", ["inter", "post"])
