@@ -179,8 +179,8 @@ class EmptyMove:
 
     The constructor, which custom emptiers use, sorts the cups and rejects
     duplicates and ids that are not ints.  _wrap checks nothing: it is for
-    the stock emptiers only, whose cups are already a sorted tuple of
-    distinct ids.
+    the stock emptiers and replay only, whose cups are already a sorted
+    tuple of distinct int ids.
     """
 
     cups: tuple[int, ...]
@@ -321,7 +321,8 @@ def validate_fill(move: FillMove, config: GameConfig, state: CupState) -> list[s
 
 
 def apply_fill(state: CupState, move: FillMove) -> CupState:
-    """Deposit the move into the state; the caller validates legality."""
+    """Deposit the move into the state; the caller validates legality.  A
+    deposit of 1 over the move's den adds the scale itself, with no multiply."""
     den = state.den
     if den % move.den:
         den = lcm(den, move.den)
@@ -331,7 +332,7 @@ def apply_fill(state: CupState, move: FillMove) -> CupState:
         scaled = list(state.scaled)
     scale = den // move.den
     for cup, deposit in zip(move.cups, move.scaled):
-        scaled[cup - 1] += deposit * scale
+        scaled[cup - 1] += scale if deposit == 1 else deposit * scale
     return CupState._wrap(tuple(scaled), den)
 
 

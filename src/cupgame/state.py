@@ -74,8 +74,11 @@ class CupState:
     def top_cups(self, k: int) -> tuple[int, ...]:
         """The k fullest cups as ascending ids, ties going to the smaller id.
 
-        One sort of the ints finds the cut, the k-th largest fill; k = 1 reads
-        the first maximum's index instead, and k = 0 or n needs no sort.
+        One sort of the ints finds the cut, the k-th largest fill.  If the cut
+        is tied past rank k, the cups above it (one pass) are joined by the
+        smallest ids at it, from index scans that resume after the last find;
+        else one pass takes the cups at or above it.  k = 1 reads the first
+        maximum's index instead, and k = 0 or n needs no sort.
         """
         scaled = self.scaled
         n = len(scaled)
@@ -85,13 +88,16 @@ class CupState:
             return (scaled.index(max(scaled)) + 1,)
         if k == 0 or k == n:
             return tuple(range(1, k + 1))
-        cut = sorted(scaled, reverse=True)[k - 1]
-        top = [cup for cup, fill in enumerate(scaled, 1) if fill >= cut]
-        if len(top) > k:  # more than k cups reach the cut: drop the last tied ids
-            tied = [cup for cup in top if scaled[cup - 1] == cut]
-            dropped = set(tied[k - len(top):])
-            top = [cup for cup in top if cup not in dropped]
-        return tuple(top)
+        ranked = sorted(scaled, reverse=True)
+        cut = ranked[k - 1]
+        if ranked[k] < cut:  # exactly k cups reach the cut
+            return tuple([cup for cup, fill in enumerate(scaled, 1) if fill >= cut])
+        top = [cup for cup, fill in enumerate(scaled, 1) if fill > cut] if ranked[0] > cut else []
+        cup = 0
+        for _ in range(k - len(top)):
+            cup = scaled.index(cut, cup) + 1
+            top.append(cup)
+        return tuple(sorted(top))
 
     def top_scaled(self, k: int) -> list:
         """The k largest scaled fills (over den), largest first.

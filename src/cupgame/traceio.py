@@ -299,7 +299,7 @@ def read_trace(directory) -> Trace:
                     cups, deposits = tuple(zip(*kept)) or ((), ())
                 fill = FillMove._wrap(cups, tuple(deposits), den)
                 try:
-                    selected = tuple(map(int, post_row[2].split()))
+                    selected = tuple(sorted(map(int, post_row[2].split())))
                 except ValueError:
                     where = f"{trace_path}: line {2 * t + 2}: step {t}"
                     raise ValueError(f"malformed selection {post_row[2]!r}") from None
@@ -307,7 +307,9 @@ def read_trace(directory) -> Trace:
                 if skip != "0" and skip != "1":
                     where = f"{trace_path}: line {2 * t + 2}: step {t}"
                     raise ValueError(f"malformed skip flag {skip!r}")
-                empty = EmptyMove(selected, skip_under_one=skip == "1")
+                if len(set(selected)) != len(selected):
+                    raise ValueError(f"duplicate cup ids in empty move: {selected}")
+                empty = EmptyMove._wrap(selected, skip == "1")
                 record = step(config, t, previous, fill, lambda state, p: empty)
                 if type(record) is Violation:
                     raise ValueError(f"illegal {record.source} move: {'; '.join(record.reasons)}")

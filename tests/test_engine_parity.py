@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -304,3 +305,20 @@ def test_stock_int_moves_match_their_rational_rebuild(spec, emptier):
                                                  record.intermediate.den)
             state = record.post
     assert verdicts  # the tight rules did reject moves
+
+
+@pytest.mark.parametrize("state_den", [2**64 * 3, 2**64 * 35, lcm(*range(1, 129))],
+                         ids=["2^64*3", "2^64*35", "lcm1..128"])
+@pytest.mark.parametrize("move_den", [1, 2, 5, 7, 64, 127, 2**64])
+def test_unit_deposits_match_the_reference(state_den, move_den):
+    """apply_fill adds a deposit of 1 over the move's den as the scale itself:
+    over smoothed-greedy's 2^64 offsets and over harmonic's lcm den, with the
+    move's den dividing the state's or not, next to deposits that are not 1."""
+    n = 12
+    state = CupState._wrap(tuple((cup * state_den) // 7 for cup in range(n)), state_den)
+    unit, other = Fraction(1, move_den), Fraction(move_den - 1, move_den)
+    move = FillMove({cup: unit if cup % 3 else other for cup in range(1, n + 1)})
+    assert move.den == move_den and 1 in move.scaled
+    after = apply_fill(state, move)
+    assert after.fills == ref_apply_fill(state.fills, move)
+    assert after.den == lcm(state_den, move_den)

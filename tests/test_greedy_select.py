@@ -6,11 +6,17 @@ with no sort.  The oracle is the selection they replaced: one stable
 descending sort of the cup ids, the top p of them handed to the checking
 EmptyMove constructor.  On every intermediate state of the games below the
 two must agree in cups, removal policy and hash.
+
+CupState.top_cups breaks a cut tied past rank k with index scans.  The
+second oracle is the body it replaced, which filtered the tied ids out of
+one pass instead; the two must return equal tuples on every intermediate
+state of the games below and on drawn fills with few distinct values.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cupgame.emptiers import GreedyEmptier, SmoothedGreedyEmptier
 from cupgame.engine import EmptyMove, FillMove, GameConfig, run_game
@@ -25,10 +31,37 @@ def oracle(state, p, flag):
     return EmptyMove(tuple(i + 1 for i in ranked[:p]), flag)
 
 
+def filtered_top_cups(state, k):
+    """top_cups as it was before the index scans: drop the last tied ids."""
+    scaled = state.scaled
+    n = len(scaled)
+    if not 0 <= k <= n:
+        raise ValueError(f"k {k} outside 0..{n}")
+    if k == 1:
+        return (scaled.index(max(scaled)) + 1,)
+    if k == 0 or k == n:
+        return tuple(range(1, k + 1))
+    cut = sorted(scaled, reverse=True)[k - 1]
+    top = [cup for cup, fill in enumerate(scaled, 1) if fill >= cut]
+    if len(top) > k:  # more than k cups reach the cut: drop the last tied ids
+        tied = [cup for cup in top if scaled[cup - 1] == cut]
+        dropped = set(tied[k - len(top):])
+        top = [cup for cup in top if cup not in dropped]
+    return tuple(top)
+
+
+def assert_top_cups_match(trace, ks):
+    assert trace.violation is None
+    assert trace.steps_executed == trace.config.steps
+    for record in trace.records:
+        state = record.intermediate
+        for k in ks:
+            assert state.top_cups(k) == filtered_top_cups(state, k), (record.t, k)
+
+
 def assert_selections_match(config, emptier, flag, filler=None):
     trace = run_game(config, filler=filler, emptier=emptier)
-    assert trace.violation is None
-    assert trace.steps_executed == config.steps
+    assert_top_cups_match(trace, {config.p, min(2 * config.p, config.n), config.n // 2})
     for record in trace.records:
         expected = oracle(record.intermediate, config.p, flag)
         for move in (record.empty, emptier.select(record.intermediate, config.p)):
@@ -71,6 +104,34 @@ def test_crossing_prob_game_matches_full_sort(seed):
                         emptier="smoothed-greedy")
     filler = ObliviousFiller(FillMove({1: amount}) for amount in deposits)
     assert_selections_match(config, SmoothedGreedyEmptier(), True, filler)
+
+
+@pytest.mark.parametrize("filler", ["growth", "harmonic", "random:1/2"])
+def test_threshold_blind_cut_matches_filtered_top_cups(filler):
+    # threshold-blind ranks the n - p + 1 fullest cups on every step
+    config = GameConfig(n=128, p=4, steps=300, seed=1, filler=filler,
+                        emptier="threshold-blind")
+    assert_top_cups_match(run_game(config), {config.n - config.p + 1})
+
+
+@pytest.mark.parametrize("filler", ["growth", "harmonic", "random:1/2"])
+def test_half_the_cups_match_filtered_top_cups(filler):
+    config = GameConfig(n=128, p=64, steps=200, seed=2, filler=filler, emptier="greedy")
+    assert_top_cups_match(run_game(config), {config.p})
+
+
+# fills drawn from two or three values, so most cuts are tied past rank k
+few_valued_fills = st.lists(st.integers(0, 2**66), min_size=2, max_size=3, unique=True).flatmap(
+    lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=40)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(few_valued_fills)
+def test_top_cups_match_filtered_top_cups_on_few_valued_fills(fills):
+    state = CupState._wrap(tuple(fills), 2**64)
+    for k in range(len(fills) + 1):
+        assert state.top_cups(k) == filtered_top_cups(state, k), k
 
 
 class TestTopCupsOne:
