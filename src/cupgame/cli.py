@@ -15,7 +15,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .engine import ADAPTIVE, OBLIVIOUS, ConfigError, GameConfig, run_game
@@ -75,7 +75,8 @@ def _assemble_config(args) -> GameConfig:
     settings = {key: value for key, value in flags.items() if value is not None}
     if args.config:
         return load_config_file(args.config, **settings)
-    missing = [key for key in ("n", "p", "steps") if key not in settings]
+    missing = [field.name for field in fields(GameConfig)
+               if field.default is MISSING and field.name not in settings]
     if missing:
         raise ConfigError(f"missing required settings (flag or config file): {missing}")
     return GameConfig(**settings)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .engine import OBLIVIOUS, FillMove, GameConfig, run_game
-from .rational import as_rat, exact_and_decimal, floor_rat, format_rat, rat, to_decimal
+from .rational import as_rat, exact_and_decimal, format_rat, rat, to_decimal
 from .state import harmonic_number
 
 
@@ -201,7 +201,7 @@ def crossing_probability_experiment(deposits, seeds: int):
             visibility=OBLIVIOUS,
         )
         trace = run_game(config, filler=ObliviousFiller(FillMove({1: a}) for a in deposits))
-        last = trace.records[-1]
-        if floor_rat(last.intermediate.fill_of(1)) > floor_rat(last.prev.fill_of(1)):
+        inter, prev = trace.records[-1].intermediate, trace.records[-1].prev
+        if inter.scaled[0] // inter.den > prev.scaled[0] // prev.den:
             hits += 1
     return rat(hits, seeds)

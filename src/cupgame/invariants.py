@@ -13,7 +13,9 @@ the level-i integer fill is T^(i) = sum_j max(floor(h^(i)_j - 1), 0).  A
 deposit f crosses a level-i threshold s (integer, s >= 2) at step t when
 h^(i)(t-1) < s <= h^(i)(t-1) + f.  Unit removals decrease a positive integer
 fill by exactly one per drained cup, which is what makes T^(i) obey an exact
-conservation law under the skip-under-one emptier.
+conservation law under the skip-under-one emptier.  The level checkers run
+level 1, and level i + 1 when level i's integer fill is positive at some step
+(T^(i) > 0 iff some cup holds a fill >= 2i, which opens level i + 1).
 
 The checkers read the cup states' ints (state.py) and Trace's run statistics,
 such as its record-setting steps: a fill is scaled/den, so floors are
@@ -332,11 +334,6 @@ def level_series(trace: Trace, level: int) -> LevelStats:
     return stats
 
 
-def max_level(trace: Trace) -> int:
-    """Highest level at which any state has positive level fill."""
-    return max(1, floor_rat(trace.max_backlog() / 2) + 1)
-
-
 def _trace_den(trace: Trace) -> int:
     """D, the lcm of every state's den and every deposit's denominator.
 
@@ -539,9 +536,10 @@ def check_fractional_preservation(trace: Trace) -> InvariantReport:
 
 
 def _levels_report(trace, single, *args) -> InvariantReport:
-    reports = [
-        single(trace, level, *args) for level in range(1, max_level(trace) + 1)
-    ]
+    """One report over the levels: 1, then i + 1 while T^(i) > 0 at some step."""
+    reports = [single(trace, 1, *args)]
+    while any(level_series(trace, len(reports)).integer_fill):
+        reports.append(single(trace, len(reports) + 1, *args))
     name = reports[0].check
     failed = [report for report in reports if not report.passed]
     params = dict(reports[0].params)

@@ -14,7 +14,7 @@ from cupgame.engine import (
     run_game,
 )
 from cupgame.fillers import ObliviousFiller
-from cupgame.rational import as_rat, rat
+from cupgame.rational import as_rat, floor_rat, rat
 
 
 class ScriptFiller(ObliviousFiller):
@@ -64,6 +64,15 @@ def forge(n, p, emptier, steps, *, initial=None, truncation=None):
         )
         previous = records[-1].post
     return Trace(config=config, initial=start, records=records)
+
+
+def max_level(trace):
+    """Reference level count from the peak backlog: floor(max / 2) + 1, at least 1.
+
+    The level checkers open level i + 1 from level i's integer fill instead;
+    both rules must give the same count.
+    """
+    return max(1, floor_rat(trace.max_backlog() / 2) + 1)
 
 
 def moves_of(trace):

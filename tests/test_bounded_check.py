@@ -22,13 +22,12 @@ from cupgame.invariants import (
     InvariantReport,
     LevelStats,
     level_series,
-    max_level,
     run_checkers,
 )
 from cupgame.rational import rat
 from cupgame.traceio import read_trace, write_trace
 
-from conftest import forge
+from conftest import forge, max_level
 from test_acceptance import FUZZ_CONFIGS, _forged_breaches
 from test_integer_stats import deposit_cumsums, oracle_working_set
 

@@ -5,8 +5,9 @@ one Fraction per cup: the tail scans, cup-reset, record-gap, the level
 series, level-conservation, level-progress, working-set and fractional,
 with the per-level reports folded as run_checkers folds them.  Both must
 give the same report, witness included, on engine traces, on traces that
-went through write_trace and read_trace, and on forged traces whose states
-each carry their own denominator.
+went through write_trace and read_trace, on forged traces whose states
+each carry their own denominator, and on forged traces whose peak sits at,
+or one unit of its den below, a level gate.
 """
 
 from __future__ import annotations
@@ -401,3 +402,45 @@ def test_checkers_agree_on_c3_forged_breaches(name, trace):
     report = run_checkers(trace, [name], window=8)[0]
     assert not report.passed
     assert report.to_jsonable() == REFERENCE[name](trace, 8).to_jsonable()
+
+
+# ---------------------------------------------------------------------------
+# level boundaries: the level count is the Fraction rule's at every gate
+
+LEVEL_CHECKS = ["level-conservation", "level-progress", "working-set"]
+
+# (name, S_0, [S_1, ..., S_T], levels); each step deposits cup 1's rise
+BOUNDARIES = [
+    ("peak-2", (0, 0), [(1, 0), (2, rat(1, 2))], 2),
+    ("below-2", (0, 0), [(1, 0), (rat(5, 3), 0)], 1),
+    ("peak-4", (0, 0), [(2, 1), (4, 1)], 3),
+    ("below-4", (0, 0), [(2, 0), (rat(27, 7), 1)], 2),
+    ("peak-only-in-s0", (4, 1), [(1, 1), (1, 0)], 3),
+    ("peak-only-in-st", (0, 0), [(1, 0), (1, 1), (4, 0)], 3),
+    ("four-levels", (0, 0), [(3, 1), (7, 2), (5, 2)], 4),
+]
+
+
+def boundary_trace(initial, posts):
+    steps, before = [], rat(initial[0])
+    for post in posts:
+        rise = rat(post[0]) - before
+        fill = {1: rise} if rise > 0 else {}
+        removed = ((1, -rise),) if rise < 0 else ()
+        steps.append((fill, removed, post))
+        before = rat(post[0])
+    return forge(2, 1, SMOOTHED, steps, initial=initial)
+
+
+@pytest.mark.parametrize(
+    "initial, posts, levels",
+    [case[1:] for case in BOUNDARIES],
+    ids=[case[0] for case in BOUNDARIES],
+)
+def test_levels_open_at_the_level_gates(initial, posts, levels):
+    trace = boundary_trace(initial, posts)
+    assert ref_max_level(trace) == levels
+    for window in (1, 8):
+        assert assert_checkers_agree(trace, window)
+    reports = run_checkers(trace, LEVEL_CHECKS)
+    assert [report.params["levels"] for report in reports] == [levels] * 3

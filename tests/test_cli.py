@@ -71,8 +71,11 @@ def test_run_config_file_with_override(tmp_path):
     assert summary["config"]["filler"] == "harmonic"
 
 
-def test_run_missing_required_settings_exits_2(tmp_path):
+def test_run_missing_required_settings_exits_2(tmp_path, capsys):
     assert run_cli("run", "--n", 4, "--p", 1, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: missing required settings (flag or config file): ['steps']\n"
+    )
 
 
 def test_run_bad_strategy_spec_exits_2(tmp_path):

@@ -24,11 +24,11 @@ from cupgame.invariants import (
     InvariantReport,
     check_working_set,
     level_series,
-    max_level,
 )
 from cupgame.rational import rat, to_decimal
 from cupgame.traceio import summarize
 
+from conftest import max_level
 from test_acceptance import FUZZ_CONFIGS, _forged_breaches
 
 

@@ -27,14 +27,13 @@ from cupgame.invariants import (
     check_truncated_invariant,
     check_working_set,
     level_series,
-    max_level,
     run_checkers,
 )
 from cupgame.experiments import crossing_probability_experiment
 from cupgame.fillers import ObliviousFiller
 from cupgame.rational import rat
 
-from conftest import ScriptFiller, forge, play
+from conftest import ScriptFiller, forge, max_level, play
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +96,10 @@ def test_max_level_tracks_peak_backlog():
         [({1: rat(1)}, (), (rat(5),))],
         initial=(4,),
     )
-    assert max_level(trace) == 3  # fill 5 is active at gates 0, 2, 4
+    # fill 5 is active at gates 0, 2, 4: at t = 1, T^(1) = 4 and T^(2) = 2 open
+    # levels 2 and 3, and T^(3) is 0 at every step
+    reports = run_checkers(trace, ["level-conservation", "level-progress", "working-set"])
+    assert [report.params["levels"] for report in reports] == [3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
