@@ -337,10 +337,15 @@ def apply_fill(state: CupState, move: FillMove) -> CupState:
 
 
 def validate_empty(move: EmptyMove, config: GameConfig) -> list[str]:
+    """Reasons the selection is illegal; its cups are sorted, so when its size
+    and its two end ids are in range every id is."""
+    cups = move.cups
+    if len(cups) <= config.p and (not cups or (1 <= cups[0] and cups[-1] <= config.n)):
+        return []
     problems = []
-    if len(move.cups) > config.p:
-        problems.append(f"selected {len(move.cups)} cups, budget is {config.p}")
-    for cup in move.cups:
+    if len(cups) > config.p:
+        problems.append(f"selected {len(cups)} cups, budget is {config.p}")
+    for cup in cups:
         if not 1 <= cup <= config.n:
             problems.append(f"cup id {cup} outside 1..{config.n}")
     return problems
@@ -352,6 +357,7 @@ def apply_empty(state: CupState, move: EmptyMove):
     When every selected cup lost water, the ids are the selection's own tuple.
     """
     den = state.den
+    skip_under_one = move.skip_under_one
     scaled = list(state.scaled)
     drained = []
     for cup in move.cups:
@@ -359,7 +365,7 @@ def apply_empty(state: CupState, move: EmptyMove):
         if fill >= den:
             scaled[cup - 1] = fill - den
             drained.append(cup)
-        elif fill > 0 and not move.skip_under_one:
+        elif fill > 0 and not skip_under_one:
             scaled[cup - 1] = 0
             drained.append(cup)
     post = CupState._wrap(tuple(scaled), den)
@@ -386,7 +392,10 @@ def step(config: GameConfig, t: int, state: CupState, move: FillMove, select):
 class AdaptiveView:
     """What an adaptive filler observes: the records so far and the state.
 
-    An oblivious filler is handed None: it sees nothing the emptier does.
+    run_game hands a filler one view per game: at call t its records are the
+    t - 1 records so far (the trace's own list, grown in place) and its state
+    is S_{t-1}.  An oblivious filler is handed None: it sees nothing the
+    emptier does.
     """
 
     records: list[StepRecord]
@@ -424,10 +433,11 @@ def run_game(config: GameConfig, filler=None, emptier=None, *, stop_when=None) -
     records: list[StepRecord] = []
     state = initial
     violation = None
-    adaptive = config.visibility == ADAPTIVE
+    view = AdaptiveView(records, state) if config.visibility == ADAPTIVE else None
 
     for t in range(1, config.steps + 1):
-        view = AdaptiveView(records, state) if adaptive else None
+        if view is not None:
+            view.state = state
         record = step(config, t, state, filler.next_move(t, view), emptier.select)
         if type(record) is Violation:
             violation = record

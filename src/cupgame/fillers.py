@@ -59,6 +59,7 @@ from .engine import ConfigError, FillMove, GameConfig, parse_spec
 from .rational import as_rat, floor_rat, parse_rat, rat
 
 AMOUNT_DEN = 840  # lcm(1..8): every amount the random filler draws is k/840
+_BITS = tuple(m.bit_length() for m in range(10))  # bits of a draw below m <= 9
 _NO_MOVE = FillMove._wrap((), (), 1)
 
 
@@ -85,7 +86,8 @@ class RandomFiller:
     bits for a draw below m, and sample's pool list or selected set, chosen
     by its setsize rule), so the filler consumes exactly the bits those calls
     would: its moves and rng state equal theirs, and seeds frozen before the
-    draws were inlined replay.
+    draws were inlined replay.  Once the budget is spent every later amount
+    clamps to 0, so the later support cups only make their two draws.
     """
 
     def __init__(self, config: GameConfig, rng, density=rat(1, 2)):
@@ -100,7 +102,7 @@ class RandomFiller:
 
     def next_move(self, t, view) -> FillMove:
         if self.max_support == 0:
-            return FillMove({})
+            return _NO_MOVE
         # a draw below m is _randbelow's loop over m.bit_length() bits
         getrandbits = self.rng.getrandbits
         n = self.config.n
@@ -141,13 +143,14 @@ class RandomFiller:
             limit = cap.numerator * (den // cap.denominator)
         budget = self.config.p * den
         pairs = []
+        support = iter(support)
         for j in support:  # 0-based: cup j + 1
             draw = getrandbits(4)  # 1 + randrange(8): 8.bit_length() bits
             while draw >= 8:
                 draw = getrandbits(4)
             draw += 1
             m = draw + 1  # amount = randrange(draw + 1) / draw
-            bits = m.bit_length()
+            bits = _BITS[m]
             amount = getrandbits(bits)
             while amount >= m:
                 amount = getrandbits(bits)
@@ -161,6 +164,18 @@ class RandomFiller:
             if amount > 0:
                 pairs.append((j + 1, amount))
                 budget -= amount
+                if budget == 0:
+                    break
+        # the budget is spent: every later amount clamps to 0, but its two
+        # draws still come off the stream
+        for _ in support:
+            draw = getrandbits(4)
+            while draw >= 8:
+                draw = getrandbits(4)
+            m = draw + 2
+            bits = _BITS[m]
+            while getrandbits(bits) >= m:
+                pass
         pairs.sort()
         cups, amounts = zip(*pairs) if pairs else ((), ())
         common = math.gcd(den, *amounts)
@@ -196,7 +211,7 @@ class ShrinkingPassFiller:
                 self.unemptied = list(self.targets)
                 self.passes += 1
             elif drained:
-                self.unemptied = [c for c in self.unemptied if c not in drained]
+                self.unemptied = list(itertools.filterfalse(drained.__contains__, self.unemptied))
         if len(self.unemptied) < 2:
             self.unemptied = list(self.targets)
             self.passes += 1
@@ -237,6 +252,9 @@ def _spread_shrink(n, rng, anchors, events, rounds, round_steps, swaps):
     events in place.  It holds no reference to the filler, so a finished game
     leaves no cycle for the collector."""
     getrandbits = rng.getrandbits
+    # the deposits of a move over a working set of each size, anchors first:
+    # p - 1 anchors get size each, the working cups 1
+    rows = [(size,) * len(anchors) + (1,) * size for size in range(round_steps + 2)]
     for phase in itertools.count():  # no end: phases only sets natural_steps
         if swaps:
             swap_round = rng.randrange(rounds)
@@ -244,7 +262,8 @@ def _spread_shrink(n, rng, anchors, events, rounds, round_steps, swaps):
                            "new_anchor_round": swap_round, "anchors": tuple(anchors)})
         for round_ in range(rounds):
             taken = set(anchors)
-            working = [cup for cup in range(1, n + 1) if cup not in taken][: round_steps + 1]
+            working = list(itertools.islice(
+                itertools.filterfalse(taken.__contains__, range(1, n + 1)), round_steps + 1))
             if swaps:
                 events.append({"type": "round_start", "phase": phase, "round": round_,
                                "working": tuple(working)})
@@ -253,10 +272,10 @@ def _spread_shrink(n, rng, anchors, events, rounds, round_steps, swaps):
             for step in range(round_steps):
                 size = len(working)
                 if anchors and anchors[-1] > working[0]:  # a swapped-in anchor above working cups
-                    pairs = sorted([(cup, size) for cup in anchors] + [(cup, 1) for cup in working])
-                    cups, scaled = zip(*pairs)
+                    cups = tuple(sorted(anchors + working))
+                    scaled = tuple([size if cup in taken else 1 for cup in cups])
                 else:  # both lists keep id order
-                    cups, scaled = (*anchors, *working), (size,) * len(anchors) + (1,) * size
+                    cups, scaled = (*anchors, *working), rows[size]
                 move = FillMove._wrap(cups, scaled, size)
                 # the victim is randrange(size): _randbelow's loop over size.bit_length() bits
                 bits = size.bit_length()

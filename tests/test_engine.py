@@ -147,6 +147,44 @@ class TestValidation:
         assert validate_empty(EmptyMove([4]), config) != []
 
 
+def _reference_validate_empty(move, config):
+    """validate_empty checking every cup, as it did before it passed in-range
+    selections on their size and end ids alone: the oracle of its problems."""
+    problems = []
+    if len(move.cups) > config.p:
+        problems.append(f"selected {len(move.cups)} cups, budget is {config.p}")
+    for cup in move.cups:
+        if not 1 <= cup <= config.n:
+            problems.append(f"cup id {cup} outside 1..{config.n}")
+    return problems
+
+
+def forged_selections(n, p):
+    """Sorted selections no stock emptier makes: the empty one, ids 0, n + 1
+    and n + 5 alone and around legal ids, and more than p cups."""
+    legal = tuple(range(1, p + 1))
+    return [EmptyMove._wrap(cups, skip) for skip in (False, True) for cups in (
+        (), (0,), (n + 1,), (n + 5,), (0, *legal), (*legal, n + 1), (0, *legal, n + 5),
+        (0, n + 1, n + 5), tuple(range(1, p + 2)), tuple(range(p + 2)),
+        tuple(range(n - p, n + 1)),
+    )]
+
+
+@pytest.mark.parametrize("filler,n,p,seed,steps,emptier", [
+    *((filler, n, p, seed, 500, "greedy") for filler, n, p, seed in C2_POINTS),
+    ("anchor-swap:8,64,2", 16, 8, 0, 1024, "smoothed-greedy"),
+    ("anti-greedy:16,3/4,128", 32, 8, 0, 1408, "smoothed-greedy"),
+])
+def test_validate_empty_matches_the_per_cup_check(filler, n, p, seed, steps, emptier):
+    config = GameConfig(n=n, p=p, steps=steps, seed=seed, filler=filler, emptier=emptier)
+    trace = run_game(config)
+    assert trace.steps_executed == steps
+    forged = forged_selections(n, p)
+    for move in [record.empty for record in trace.records] + forged:
+        assert validate_empty(move, config) == _reference_validate_empty(move, config), move
+    assert [move.cups for move in forged if not validate_empty(move, config)] == [(), ()]
+
+
 class TestApply:
     def test_apply_fill_adds(self):
         state = CupState([0, 1, 0])
@@ -295,6 +333,20 @@ class TestDeterminismAndVisibility:
         if visibility == "adaptive":
             assert probe.states == trace.states()[:-1]
 
+    @pytest.mark.parametrize("visibility", ["adaptive", "oblivious"])
+    def test_a_kept_view_stays_current(self, visibility):
+        keeper = _ViewKeeper()
+        config = GameConfig(n=5, p=1, steps=15, seed=4, visibility=visibility)
+        trace = run_game(config, filler=keeper)
+        assert len(keeper.views) == 15
+        if visibility == "oblivious":
+            assert keeper.views == [None] * 15
+        else:  # one view per game, its state S_{t-1} and its t - 1 records
+            assert all(view is keeper.views[0] for view in keeper.views)
+            states = trace.states()
+            assert len(set(states)) > 1  # the game moves, so a stale view would show
+            assert keeper.seen == [(states[t - 1], trace.records[: t - 1]) for t in range(1, 16)]
+
     def test_adaptive_filler_rejected_when_oblivious(self):
         config = GameConfig(
             n=4, p=1, steps=5, filler="harmonic", visibility="oblivious"
@@ -324,6 +376,24 @@ class _ProbeFiller:
             assert [record.t for record in view.records] == list(range(1, t))
             self.states.append(view.state)
         return FillMove({t % 4 + 1: rat(2, 3), (t + 1) % 4 + 1: rat(1, 2)})
+
+
+class _ViewKeeper:
+    """Keeps the first view it is handed and reads that one at every call."""
+
+    needs_adaptive = False
+
+    def __init__(self):
+        self.views = []
+        self.seen = []
+
+    def next_move(self, t, view):
+        self.views.append(view)
+        first = self.views[0]
+        if first is not None:
+            self.seen.append((first.state, list(first.records)))
+        return FillMove({t % 5 + 1: rat(1, 2), (t + 1) % 5 + 1: rat(1, 3),
+                         (t + 3) % 5 + 1: rat(1, 6)})
 
 
 class TestConfigValidation:

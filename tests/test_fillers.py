@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import random
 import weakref
 from types import SimpleNamespace
 
@@ -325,18 +326,31 @@ def _reference_random_move(filler, view):
 
 class _ReferenceTwin:
     """Plays a RandomFiller and checks each move and its rng state against
-    _reference_random_move on a twin filler seeded alike."""
+    _reference_random_move on a twin filler seeded alike.
+
+    It counts the moves whose budget ran out before their last support cup:
+    the filler draws those later cups' amounts in its bare draw loop.
+    """
 
     def __init__(self, config, density):
         self.filler = RandomFiller(config, stream(config.seed, FILLER_LABEL), density)
         self.twin = RandomFiller(config, stream(config.seed, FILLER_LABEL), density)
+        self.spent_early = 0
 
     def next_move(self, t, view):
+        replay = random.Random()
+        replay.setstate(self.twin.rng.getstate())
         move = self.filler.next_move(t, view)
         expected = _reference_random_move(self.twin, view)
         assert (move.cups, move.scaled, move.den) == (expected.cups, expected.scaled,
                                                       expected.den), t
         assert self.filler.rng.getstate() == self.twin.rng.getstate(), t
+        config = self.filler.config
+        if self.filler.max_support and sum(move.scaled) == config.p * move.den:
+            # the move's support, drawn again: its last cup got nothing
+            count = replay.randrange(self.filler.max_support + 1)
+            support = replay.sample(range(1, config.n + 1), count)
+            self.spent_early += support[-1] not in move.cups
         return move
 
 
@@ -349,17 +363,23 @@ DIFFERENTIAL_NS = (1, 2, 21, 22, 64, 85, 86, 128, 277, 278)
 
 @pytest.mark.parametrize("n", DIFFERENTIAL_NS)
 def test_random_filler_draws_what_sample_and_randrange_draw(n):
+    spent_early = {None: 0, rat(13, 11): 0}
     for p in (1, 2, 4):
         if p > n:
             continue
         for density in (rat(0), rat(1, 3), rat(1, 2), rat(1)):
-            for cap in (None, rat(13, 11)):
+            for cap in spent_early:
                 for seed in (0, 1):
                     config = GameConfig(n=n, p=p, steps=25, seed=seed,
                                         truncation=cap)
-                    trace = run_game(config, filler=_ReferenceTwin(config, density))
+                    twin = _ReferenceTwin(config, density)
+                    trace = run_game(config, filler=twin)
                     assert trace.violation is None
                     assert trace.steps_executed == 25
+                    spent_early[cap] += twin.spent_early
+    # the bare draw loop is checked, capped and uncapped; at n = 1 a support
+    # holds one cup, so no cup comes after the one that spends the budget
+    assert n == 1 or all(spent_early.values()), spent_early
 
 
 class _ReferenceSpreadShrink:

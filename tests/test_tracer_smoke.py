@@ -3,8 +3,9 @@
 perfbench/tracing.py wraps cupgame's functions by name.  A rename in the
 program would break the benchmark's `--trace 1` mode; this test makes the
 tier-1 suite see that: it installs the Tracer, runs one small `run --svg`
-and `check`, uninstalls it, and requires the layers on that path to have
-been timed and every wrapped attribute to be the original object again.
+and `check` and one `growth` and one `anchor-swap` game, uninstalls it, and
+requires the layers on those paths to have been timed and every wrapped
+attribute to be the original object again.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from cupgame import (
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 MODULES = (cli, emptiers, engine, experiments, fillers, invariants, rng, state, svg, traceio)
 
-# spans and counters that one run --svg + check of a smoothed-greedy game must touch
+# spans and counters that one run --svg + check of a smoothed-greedy game, a
+# growth game and an anchor-swap game must touch
 TOUCHED = (
     "engine.validate_fill.busy_s",
     "engine.apply_fill.busy_s",
     "engine.apply_empty.busy_s",
     "engine.validate_empty.busy_s",
     "fillers.random.next_move.busy_s",
+    "fillers.growth.next_move.busy_s",
+    "fillers.anchor-swap.next_move.busy_s",
     "emptiers.initial_fills.busy_s",
     "state.top_cups.calls",
     "invariants.working-set.busy_s",
@@ -70,10 +74,13 @@ def test_tracer_times_run_and_check_and_restores_every_attribute(tmp_path):
             "--emptier", "smoothed-greedy", "--out", str(out), "--svg",
         ]) == 0
         assert cli.main(["check", str(out)]) == 0
+        engine.run_game(engine.GameConfig(n=8, p=2, steps=40, filler="growth"))
+        engine.run_game(engine.GameConfig(n=16, p=8, steps=40, filler="anchor-swap:8,64,2",
+                                          emptier="smoothed-greedy", visibility="oblivious"))
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
-    assert metrics["engine.steps"] == 40
+    assert metrics["engine.steps"] == 3 * 40
     untouched = [name for name in TOUCHED if not metrics[name] > 0]
     assert not untouched
     after = snapshot()
